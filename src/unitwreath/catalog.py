@@ -115,8 +115,9 @@ class Census:
         }
 
     def to_text(self) -> str:
+        data = self.to_dict()
         lines = []
-        for block in self.to_dict()["orders"]:
+        for block in data["orders"]:
             lines.append(
                 f"order {block['order']}: {block['passing']} of "
                 f"{block['total']} groups satisfy the hypotheses"
@@ -126,7 +127,7 @@ class Census:
                     lines.append(f"  {row['name']:<12} pass  s={row['s']}")
                 else:
                     lines.append(f"  {row['name']:<12} fail  {row['reason']}")
-        for err in self.to_dict()["errors"]:
+        for err in data["errors"]:
             lines.append(f"  ERROR {err['name']}: {err['error']}")
         return "\n".join(lines)
 
@@ -168,7 +169,9 @@ def verify_all(
     census = scan(directory, order_filter)
     results = []
     for entry in sorted(census.passing(), key=lambda e: e.name):
-        result = construct.run_pipeline(entry.group, use_oracle=use_oracle, cap=cap)
+        result = construct.run_pipeline(
+            entry.group, use_oracle=use_oracle, cap=cap, hypothesis=entry.report
+        )
         results.append(result)
         if not result.verdict and not keep_going:
             break

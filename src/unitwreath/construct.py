@@ -451,17 +451,24 @@ def run_pipeline(
     use_oracle: bool = True,
     override: tuple[int, int, int] | None = None,
     cap: int = oracle.DEFAULT_CAP,
+    hypothesis: HypothesisReport | None = None,
 ) -> PipelineResult:
-    """Hypotheses, witness, orbit, base group, section: the full check."""
-    hypothesis = check_hypotheses(group)
+    """Hypotheses, witness, orbit, base group, section: the full check.
+
+    A hypothesis report already computed for this group may be passed in.
+    """
+    if hypothesis is None:
+        hypothesis = check_hypotheses(group)
     result = PipelineResult(group=group, hypothesis=hypothesis)
     if not hypothesis.passed:
         result.error = f"hypotheses fail: {hypothesis.failure_reason}"
         return result
+    # first, so that a group above the table limit stops here and not after
+    # a witness search that collects every product one by one
+    algebra = GroupAlgebra(group)
     try:
         witness = select_witness(group, hypothesis, override=override)
         result.witness = witness
-        algebra = GroupAlgebra(group)
         orbit = build_orbit(algebra, witness)
         result.orbit = orbit
         base, base_checks = verify_base_group(orbit, cap=cap)

@@ -11,7 +11,7 @@ with 2-power order.
 from __future__ import annotations
 
 from . import kernels
-from .pcgroup import FiniteGroup
+from .pcgroup import CAYLEY_LIMIT, FiniteGroup, TableLimitError
 
 
 class GroupAlgebra:
@@ -19,8 +19,9 @@ class GroupAlgebra:
 
     def __init__(self, group: FiniteGroup):
         if group.cayley is None:
-            raise ValueError(
-                f"{group.name}: group algebra needs the materialized Cayley table"
+            raise TableLimitError(
+                f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
+                "largest order whose Cayley table the group algebra can use"
             )
         self.group = group
         self.order = group.order
@@ -128,22 +129,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({self.words()})"
-
-
-def embed(algebra: GroupAlgebra, g: int) -> AlgebraElement:
-    return algebra.embed(g)
-
-
-def add(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    return u + v
-
-
-def mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    return u * v
-
-
-def augmentation(u: AlgebraElement) -> int:
-    return u.augmentation()
 
 
 def _require_normalized(u: AlgebraElement) -> None:

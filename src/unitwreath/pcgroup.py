@@ -32,8 +32,13 @@ class ConsistencyError(PcError):
     """Collection over the presentation does not realize a group of order 2^n."""
 
 
-# Materialize the full multiplication table up to this order; collection
-# remains the ground truth and the table is checked against it at build time.
+class TableLimitError(PcError):
+    """The group is too large for an operation that needs its Cayley table."""
+
+
+# Materialize the full multiplication table up to this order.  Consistency
+# is proved by the overlap test at every order, before any table is built;
+# above the limit products are collected on demand.
 CAYLEY_LIMIT = 512
 
 WORD_SEP = "·"  # interpunct, used when printing element words
@@ -219,9 +224,13 @@ class Subgroup:
 class FiniteGroup:
     """A finite 2-group realized by collection over a pc presentation.
 
-    Immutable after construction; all operations are pure.  For orders up
-    to CAYLEY_LIMIT the full multiplication table is materialized and every
-    entry comes from collection, so table and collection agree by build.
+    Immutable after construction; all operations are pure.  Construction
+    first proves the presentation consistent by the overlap test, at every
+    order, so that collection computes products in a group of order 2^n.
+    For orders up to CAYLEY_LIMIT it then materializes the multiplication
+    table: the n generator rows by collection, every other row as
+    x·y = lead·(rest·y) from the row of x's first generator.  Above the
+    limit, products are collected on demand.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -230,13 +239,12 @@ class FiniteGroup:
         self.name = pres.name
         self.n = pres.n
         self.order = 1 << pres.n
-        self._elem_set = None
+        self._check_overlaps()
         self.cayley: list[list[int]] | None = None
+        self._inverse: list[int] | None = None
         if self.order <= CAYLEY_LIMIT:
-            self.cayley = self._build_cayley_checked()
-        else:
-            self._spot_check()
-        self._inverse = [self._inverse_by_order(x) for x in range(self.order)]
+            self.cayley = self._build_cayley()
+            self._inverse = [row.index(0) for row in self.cayley]
 
     # --- collection ---------------------------------------------------
 
@@ -269,51 +277,55 @@ class FiniteGroup:
             x = self._times_gen(x, j)
         return x
 
-    # --- construction checks -------------------------------------------
+    # --- consistency and table ----------------------------------------
 
-    def _build_cayley_checked(self) -> list[list[int]]:
-        order, n = self.order, self.n
-        table = []
-        for x in range(order):
-            row = [0] * order
-            row[0] = x
-            for y in range(1, order):
-                j = n - (y & -y).bit_length() + 1
-                row[y] = self._times_gen(row[y & (y - 1)], j)
-            table.append(row)
-        full = set(range(order))
-        for x in range(order):
-            if set(table[x]) != full:
-                raise ConsistencyError(
-                    f"{self.name}: left translation by element {x} is not a bijection"
-                )
-        for y in range(order):
-            if {table[x][y] for x in range(order)} != full:
-                raise ConsistencyError(
-                    f"{self.name}: right translation by element {y} is not a bijection"
-                )
-        # associativity on (x, y, generator) triples implies it everywhere
-        gens = [1 << (n - j) for j in range(1, n + 1)]
-        for x in range(order):
-            row_x = table[x]
-            for y in range(order):
-                t = table[row_x[y]]
-                row_y = table[y]
-                for g in gens:
-                    if t[g] != row_x[row_y[g]]:
+    def _check_overlaps(self) -> None:
+        """Prove consistency by the overlap test, or raise ConsistencyError.
+
+        With every relative order 2, the overlaps of the standard test (Sims
+        1994, polycyclic-groups chapter; Holt, Eick and O'Brien 2005, ch. 8) are
+        (gk gj) gi = gk (gj gi) for k > j > i, gj^2 gi = gj (gj gi),
+        (gj gi) gi = gj gi^2 and gi^2 gi = gi gi^2: all k >= j >= i.  When
+        both sides of each collect to the same normal form, the
+        presentation defines a group of order 2^n and collection computes
+        its products.
+        """
+        n = self.n
+        gens = [0] + [1 << (n - j) for j in range(1, n + 1)]
+        names = self.pres.gens
+        for k in range(1, n + 1):
+            for j in range(1, k + 1):
+                gk_gj = self._times_gen(gens[k], j)
+                for i in range(1, j + 1):
+                    left = self._times_gen(gk_gj, i)
+                    right = self._collect(gens[k], self._times_gen(gens[j], i))
+                    if left != right:
+                        gk, gj, gi = names[k - 1], names[j - 1], names[i - 1]
                         raise ConsistencyError(
-                            f"{self.name}: associativity fails on "
-                            f"({x}, {y}, generator index {g})"
+                            f"{self.name}: overlap ({gk}·{gj})·{gi} collects to "
+                            f"{self.word_str(left)} but {gk}·({gj}·{gi}) to "
+                            f"{self.word_str(right)}"
                         )
-        return table
 
-    def _spot_check(self) -> None:
-        # beyond the table limit, only sanity-check generator involutions
-        for j in range(1, self.n + 1):
-            g = 1 << (self.n - j)
-            sq = self._collect(g, g)
-            if sq == g:
-                raise ConsistencyError(f"{self.name}: g{j}^2 = g{j}")
+    def _build_cayley(self) -> list[list[int]]:
+        """Generator rows by collection; every other row from two earlier ones.
+
+        Needs consistency: x = lead·rest in normal form, with lead the
+        first generator of x, so x·y = lead·(rest·y).
+        """
+        order, n = self.order, self.n
+        table = [list(range(order))]
+        for x in range(1, order):
+            lead = 1 << (x.bit_length() - 1)
+            if x == lead:
+                row = [x] * order
+                for y in range(1, order):
+                    j = n - (y & -y).bit_length() + 1
+                    row[y] = self._times_gen(row[y & (y - 1)], j)
+            else:
+                row = list(map(table[lead].__getitem__, table[x ^ lead]))
+            table.append(row)
+        return table
 
     # --- core operations ------------------------------------------------
 
@@ -329,15 +341,10 @@ class FiniteGroup:
             return self.cayley[x][y]
         return self._collect(x, y)
 
-    def _inverse_by_order(self, x: int) -> int:
-        acc, p = 0, x
-        m = self.element_order(x)
-        for _ in range(m - 1):
-            acc = self.multiply(acc, x)
-        return acc
-
     def inverse(self, x: int) -> int:
-        return self._inverse[x]
+        if self._inverse is not None:
+            return self._inverse[x]
+        return self.power(x, self.element_order(x) - 1)
 
     def conjugate(self, x: int, g: int) -> int:
         """g^-1 x g."""

@@ -1,6 +1,6 @@
 import pytest
 
-from unitwreath import catalog, pcgroup
+from unitwreath import catalog, construct, pcgroup
 
 
 class TestScan:
@@ -63,6 +63,19 @@ class TestVerifyAll:
         sweep = catalog.verify_all(corpus_dir / "o16", use_oracle=True)
         assert len(sweep.results) == 4
         assert sweep.verdict
+
+    def test_hypotheses_checked_once_per_group(self, corpus_dir, monkeypatch):
+        calls = []
+        check = construct.check_hypotheses
+
+        def counted(group):
+            calls.append(group.name)
+            return check(group)
+
+        monkeypatch.setattr(construct, "check_hypotheses", counted)
+        for d in ("o16", "o32"):
+            catalog.verify_all(corpus_dir / d, use_oracle=False)
+        assert len(calls) == len(set(calls)) == 65
 
     def test_empty_directory_is_vacuous_pass(self, tmp_path):
         sweep = catalog.verify_all(tmp_path)

@@ -41,6 +41,38 @@ class TestCheck:
         assert code == 3
 
 
+class TestLargeGroups:
+    """Orders above CAYLEY_LIMIT: consistency is still proved, tables are not built."""
+
+    # the inconsistent order-8 presentation (b^a = b^2 = 1) with 9 free generators
+    INCONSISTENT_2048 = (
+        "group Bad2048\ngens a b f1 f2 f3 f4 f5 f6 f7 f8 f9\nconj b a = b b\n"
+    )
+    # D8 x C2 with 6 free generators: consistent, order 1024
+    CONSISTENT_1024 = (
+        "group D8xC2xE64\ngens a c b z f1 f2 f3 f4 f5 f6\n"
+        "pow a = c\nconj b a = b c\n"
+    )
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_inconsistent_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.pc2"
+        path.write_text(self.INCONSISTENT_2048)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "overlap (b·a)·a" in err
+
+    @pytest.mark.parametrize("command", ["verify", "construct"])
+    def test_above_table_limit_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "big.pc2"
+        path.write_text(self.CONSISTENT_1024)
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "order 1024" in err
+
+
 class TestVerify:
     def test_verify_with_oracle(self, capsys, d8xc2_path):
         code, out, _ = run(capsys, "verify", d8xc2_path, "--oracle", "--json")

@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitwreath import pcgroup
+from unitwreath.catalog import default_corpus_dir
 from unitwreath.pcgroup import (
     ConsistencyError,
     ConstraintError,
+    FiniteGroup,
     ParseError,
+    PcPresentation,
     load,
     load_file,
+    serialize_presentation,
 )
 
 D8XC2 = """group D8xC2
@@ -47,7 +51,7 @@ class TestLoad:
     def test_inconsistent_presentation(self):
         # b^a = b^2 = 1 collapses b, so only 2 of 4 normal forms are realized
         bad = "group X\ngens a b\nconj b a = b b\n"
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"overlap \(b·a\)·a"):
             load(bad)
 
     @pytest.mark.parametrize(
@@ -189,3 +193,75 @@ def test_associativity_random_order_32(corpus32, data):
     assert group.multiply(group.multiply(x, y), w) == group.multiply(
         x, group.multiply(y, w)
     )
+
+
+def collected_table(pres: PcPresentation) -> list[list[int]]:
+    """Every product by collection, without the loader's consistency proof."""
+    group = FiniteGroup.__new__(FiniteGroup)
+    group.pres, group.n = pres, pres.n
+    order = 1 << pres.n
+    return [[group._collect(x, y) for y in range(order)] for x in range(order)]
+
+
+def is_group_table(table: list[list[int]]) -> bool:
+    """Identity 0, both translations bijective, and full associativity."""
+    order = len(table)
+    full = list(range(order))
+    if table[0] != full or [row[0] for row in table] != full:
+        return False
+    if any(sorted(row) != full for row in table):
+        return False
+    if any(sorted(col) != full for col in zip(*table)):
+        return False
+    # (x·y)·w == x·(y·w) for all w at once, one (x, y) pair at a time
+    return all(
+        table[row_x[y]] == list(map(row_x.__getitem__, table[y]))
+        for row_x in table
+        for y in range(order)
+    )
+
+
+@st.composite
+def twisted_presentations(draw):
+    """Up to four random power or conjugation words, within the index constraints.
+
+    Few twists keep the consistent draws common at every n.
+    """
+    n = draw(st.integers(1, 6))
+    slots = [(i, i) for i in range(1, n)]
+    slots += [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    powers, conjugations = {}, {}
+    chosen = []
+    if slots:
+        chosen = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
+    for i, j in chosen:
+        tail = tuple(draw(st.lists(st.integers(i + 1, n), min_size=1, max_size=2)))
+        if i == j:
+            powers[i] = tail
+        else:
+            conjugations[(i, j)] = (j, *tail)
+    gens = tuple(f"g{i}" for i in range(1, n + 1))
+    return PcPresentation("R", gens, powers, conjugations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_presentations())
+def test_overlap_verdict_matches_group_axioms(pres):
+    table = collected_table(pres)
+    try:
+        group = load(serialize_presentation(pres))
+    except ConsistencyError:
+        assert not is_group_table(table)
+    else:
+        assert is_group_table(table)
+        assert group.cayley == table
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(default_corpus_dir().rglob("*.pc2")),
+    ids=lambda p: p.stem,
+)
+def test_corpus_table_matches_collection(path):
+    group = load_file(path)
+    assert group.cayley == collected_table(group.pres)

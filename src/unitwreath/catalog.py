@@ -13,7 +13,7 @@ from pathlib import Path
 from . import construct, pcgroup
 from .construct import HypothesisReport, PipelineResult
 from .oracle import DEFAULT_CAP
-from .pcgroup import FiniteGroup, PcError
+from .pcgroup import ClosureCapError, FiniteGroup, PcError, TableLimitError
 
 
 @dataclass
@@ -165,14 +165,24 @@ def verify_all(
     keep_going: bool = True,
     cap: int = DEFAULT_CAP,
 ) -> SweepResult:
-    """Run the full pipeline on every hypothesis-passing corpus group."""
+    """Run the full pipeline on every hypothesis-passing corpus group.
+
+    A group that hits a resource limit (the table limit or the closure cap)
+    gets the error in its census entry, and the sweep goes on.
+    """
     census = scan(directory, order_filter)
     results = []
     for entry in sorted(census.passing(), key=lambda e: e.name):
-        result = construct.run_pipeline(
-            entry.group, use_oracle=use_oracle, cap=cap, hypothesis=entry.report
-        )
-        results.append(result)
-        if not result.verdict and not keep_going:
+        try:
+            result = construct.run_pipeline(
+                entry.group, use_oracle=use_oracle, cap=cap, hypothesis=entry.report
+            )
+        except (TableLimitError, ClosureCapError) as exc:
+            entry.error = str(exc)
+            failed = True
+        else:
+            results.append(result)
+            failed = not result.verdict
+        if failed and not keep_going:
             break
     return SweepResult(census=census, results=results)

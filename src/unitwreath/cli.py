@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, construct, verify, scan, model.  Exit codes:
-0 success/pass, 1 hypothesis failure, 2 verification failure, 3 input error.
+0 success/pass, 1 hypothesis failure, 2 verification failure, 3 input or
+usage error, or a resource limit (the table limit or the closure cap).
 """
 
 from __future__ import annotations
@@ -158,8 +159,22 @@ def _cmd_model(args) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT: argparse's own 2 means a false construction."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unitwreath",
         description=(
             "Verify that C2 wr G' is involved in the normalized unit group "
@@ -178,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if cap:
             p.add_argument(
-                "--cap", type=int, default=oracle.DEFAULT_CAP,
+                "--cap", type=_positive_int, default=oracle.DEFAULT_CAP,
                 help="size cap for unit-group closures",
             )
 
@@ -199,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable brute-force isomorphism cross-check")
     p.add_argument("--order", type=int, default=None,
                    help="restrict a directory sweep to one group order")
-    p.add_argument("--keep-going", action="store_true", default=True)
     p.add_argument("--first-failure", dest="keep_going", action="store_false",
                    help="stop a directory sweep at the first failure")
     p.set_defaults(func=_cmd_verify)
@@ -211,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("model", help="dump the reference wreath product C2 wr C_(2^s)")
-    p.add_argument("s", type=int)
+    p.add_argument("s", type=_positive_int)
     add_common(p)
     p.set_defaults(func=_cmd_model)
 

@@ -162,7 +162,7 @@ class QuotientGroup:
 
     def to_table_group(self) -> TableGroup:
         table = [[self.mul(i, j) for j in range(self.order)] for i in range(self.order)]
-        return TableGroup(table, labels=self.reps)
+        return TableGroup(table)
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
@@ -456,6 +456,8 @@ def run_pipeline(
     """Hypotheses, witness, orbit, base group, section: the full check.
 
     A hypothesis report already computed for this group may be passed in.
+    Resource limits are not verdicts: TableLimitError and ClosureCapError
+    propagate to the caller.
     """
     if hypothesis is None:
         hypothesis = check_hypotheses(group)
@@ -480,6 +482,6 @@ def run_pipeline(
         if override is not None:
             raise  # a rejected override is the caller's input error
         result.error = str(exc)
-    except (ConstructionError, oracle.ClosureCapError) as exc:
+    except ConstructionError as exc:
         result.error = str(exc)
     return result

@@ -1,19 +1,39 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""GF(2) convolution kernel.
 
-Set UNITWREATH_PURE=1 to force the Python kernel (used by the benchmark).
+Algebra elements are int bitsets over the group's element index.  The
+product toggles one output bit per (support, support) pair via the Cayley
+table, which is the hot loop of every unit-group closure.
 """
 
 from __future__ import annotations
 
-import os
+IMPL = "python"
 
-if os.environ.get("UNITWREATH_PURE") == "1":
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
-IMPL = _impl.IMPL
-Convolver = _impl.Convolver
+def bit_indices(bits: int) -> list[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+class Convolver:
+    """GF(2) convolution over a fixed multiplication table."""
+
+    def __init__(self, table: list[list[int]]):
+        self.order = len(table)
+        self._rows = [list(row) for row in table]
+
+    def convolve(self, ubits: int, vbits: int) -> int:
+        v_idx = bit_indices(vbits)
+        acc = 0
+        rows = self._rows
+        while ubits:
+            low = ubits & -ubits
+            row = rows[low.bit_length() - 1]
+            for j in v_idx:
+                acc ^= 1 << row[j]
+            ubits ^= low
+        return acc

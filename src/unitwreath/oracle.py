@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grpalg import AlgebraElement
+# ClosureCapError is re-exported: bfs_closure raises it
+from .pcgroup import ClosureCapError, closure  # noqa: F401
 
 DEFAULT_CAP = 1 << 16
-
-
-class ClosureCapError(Exception):
-    """BFS closure exceeded the configured size cap."""
 
 
 def bfs_closure(seeds, cap: int = DEFAULT_CAP) -> list[AlgebraElement]:
@@ -33,30 +31,16 @@ def bfs_closure(seeds, cap: int = DEFAULT_CAP) -> list[AlgebraElement]:
             raise ValueError("seeds over different groups")
         if u.augmentation() != 1:
             raise ValueError("seed is not a normalized unit")
-    one = algebra.one()
-    seen = {one.bits: one}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in seeds:
-                y = x * g
-                if y.bits not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapError(f"closure exceeded cap {cap}")
-                    seen[y.bits] = y
-                    nxt.append(y)
-        frontier = nxt
-    return [seen[b] for b in sorted(seen)]
+    seen = closure([u.bits for u in seeds], algebra._conv.convolve, 1, cap)
+    return [AlgebraElement(algebra, b) for b in sorted(seen)]
 
 
 class TableGroup:
     """A finite group as an explicit multiplication table on 0..order-1."""
 
-    def __init__(self, table: list[list[int]], labels=None):
+    def __init__(self, table: list[list[int]]):
         self.table = table
         self.order = len(table)
-        self.labels = labels
         self.identity = self._find_identity()
         self._orders: list[int] | None = None
 
@@ -72,7 +56,7 @@ class TableGroup:
         elements = list(elements)
         index = {x: i for i, x in enumerate(elements)}
         table = [[index[mulfn(x, y)] for y in elements] for x in elements]
-        return cls(table, labels=elements)
+        return cls(table)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -96,18 +80,7 @@ class TableGroup:
         return tuple(sorted(self._orders))
 
     def closure(self, gens) -> set[int]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
+        return closure(gens, self.mul, self.identity)
 
     def generating_sequence(self) -> list[int]:
         """Greedy generating sequence with strictly growing closures."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 
 
 class PcError(Exception):
@@ -34,6 +33,10 @@ class ConsistencyError(PcError):
 
 class TableLimitError(PcError):
     """The group is too large for an operation that needs its Cayley table."""
+
+
+class ClosureCapError(Exception):
+    """A closure grew past its size cap."""
 
 
 # Materialize the full multiplication table up to this order.  Consistency
@@ -204,6 +207,30 @@ def serialize_presentation(pres: PcPresentation) -> str:
             f"{word_str(pres.conjugations[(i, j)])}"
         )
     return "\n".join(lines) + "\n"
+
+
+def closure(gens, multiply, identity, cap: int | None = None) -> set:
+    """Everything generated by gens under multiply, found breadth first.
+
+    Starts from identity and multiplies on the right by each generator; in
+    a finite group that reaches every product of the generators.  Raises
+    ClosureCapError before the set would grow past cap elements.
+    """
+    gens = tuple(gens)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = multiply(x, g)
+                if y not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise ClosureCapError(f"closure exceeded cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 @dataclass(frozen=True)
@@ -378,17 +405,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, gens) -> Subgroup:
         gens = tuple(gens)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.multiply(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        seen = closure(gens, self.multiply, self.identity)
         return Subgroup(elements=tuple(sorted(seen)), gens=gens)
 
     def derived_subgroup(self) -> Subgroup:
@@ -448,8 +465,3 @@ def load_file(path) -> FiniteGroup:
 
     p = Path(path)
     return load(p.read_text(encoding="utf-8"), name_hint=str(p))
-
-
-def reduce_word(group: FiniteGroup, indices) -> int:
-    """Normal form of an arbitrary word given as generator indices."""
-    return reduce(group._times_gen, indices, 0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,10 @@ def d8xc2_path(corpus_dir):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -39,6 +43,21 @@ class TestCheck:
         path.write_text("group X\ngens a\npow a = q\n")
         code, _, err = run(capsys, "check", str(path))
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--cap", "abc", "x.pc2"],
+        ["verify"],
+        ["model", "0"],
+    ],
+)
+def test_usage_error_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
 
 
 class TestLargeGroups:
@@ -72,6 +91,19 @@ class TestLargeGroups:
         assert out == ""
         assert err.count("\n") == 1 and "order 1024" in err
 
+    def test_directory_sweep_keeps_going(self, capsys, tmp_path, d8xc2_path):
+        (tmp_path / "D8xC2.pc2").write_text(Path(d8xc2_path).read_text())
+        (tmp_path / "big.pc2").write_text(self.CONSISTENT_1024)
+        code, out, _ = run(capsys, "verify", str(tmp_path), "--json")
+        assert code == 3
+        data = json.loads(out)
+        assert [(p["group"], p["verdict"]) for p in data["pipelines"]] == [
+            ("D8xC2", "pass")
+        ]
+        (error,) = data["census"]["errors"]
+        assert error["name"] == "big" and "order 1024" in error["error"]
+        assert data["verdict"] == "fail"
+
 
 class TestVerify:
     def test_verify_with_oracle(self, capsys, d8xc2_path):
@@ -94,6 +126,12 @@ class TestVerify:
         data = json.loads(out)
         assert data["witness"]["z"] == "c·z"
         assert data["verdict"] == "pass"
+
+    def test_closure_cap_exits_3(self, capsys, d8xc2_path):
+        code, out, err = run(capsys, "verify", d8xc2_path, "--cap", "8", "--json")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "cap 8" in err
 
     def test_bad_witness_exits_3(self, capsys, d8xc2_path):
         code, _, err = run(

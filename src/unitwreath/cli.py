@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, witness=True, cap=True)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="construct plus oracle cross-checks")
+    p = sub.add_parser("verify", help="construct, on a file or a directory; --oracle cross-checks")
     p.add_argument("path", help="presentation file or corpus directory")
     add_common(p, witness=True, cap=True)
     p.add_argument("--oracle", action="store_true",

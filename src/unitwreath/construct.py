@@ -10,14 +10,13 @@ Every step is recorded as a named boolean check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra, conjugate_unit, unit_order
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_wreath
-from .pcgroup import FiniteGroup
+from .pcgroup import ClosureCapError, FiniteGroup, table_from_rows
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -125,8 +124,8 @@ class QuotientGroup:
     """Quotient of an enumerated unit subgroup by a central subgroup.
 
     Cosets are frozensets of unit bitsets; the canonical representative of
-    a coset minimizes (support size, bitset value).  Multiplication is
-    representative product followed by coset lookup.
+    a coset minimizes (support size, bitset value), and cosets are indexed
+    in the order of their representatives.
     """
 
     def __init__(self, ambient: list[AlgebraElement], kernel: list[AlgebraElement]):
@@ -157,12 +156,11 @@ class QuotientGroup:
     def coset_index(self, u: AlgebraElement) -> int:
         return self.coset_of[u.bits]
 
-    def mul(self, i: int, j: int) -> int:
-        return self.coset_of[self.algebra._conv.convolve(self.reps[i], self.reps[j])]
-
-    def to_table_group(self) -> TableGroup:
-        table = [[self.mul(i, j) for j in range(self.order)] for i in range(self.order)]
-        return TableGroup(table)
+    def to_table_group(self, gens: list[AlgebraElement]) -> TableGroup:
+        """The table from one row of products per generator of the ambient group."""
+        conv = self.algebra._conv.convolve
+        rows = [[self.coset_of[conv(g.bits, r)] for r in self.reps] for g in gens]
+        return TableGroup(table_from_rows(rows, self.coset_of[1]))
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
@@ -288,9 +286,10 @@ def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
 
     Returns (X, checks): X as a sorted list of units, checks a dict of the
     three orbit-level booleans.  Raises ConstructionError on any failure,
-    naming the violating elements.
+    naming the violating elements; ClosureCapError when |X| exceeds cap.
     """
     units = orbit.units
+    m = len(units)
     checks = {}
     bad = [i for i, u in enumerate(units) if unit_order(u) != 2]
     checks["orbit-orders"] = not bad
@@ -298,30 +297,29 @@ def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
         raise ConstructionError(f"orbit members at positions {bad} are not of order 2")
     noncomm = [
         (i, j)
-        for i, j in combinations(range(len(units)), 2)
+        for i, j in combinations(range(m), 2)
         if units[i] * units[j] != units[j] * units[i]
     ]
     checks["pairwise-commuting"] = not noncomm
     if noncomm:
         raise ConstructionError(f"orbit members at {noncomm} do not commute")
-    one = units[0].algebra.one()
-    for r in range(1, len(units) + 1):
-        for subset in combinations(range(len(units)), r):
-            prod = one
-            for i in subset:
-                prod = prod * units[i]
-            if prod.is_one() or prod.support_size() != 1 + 2 * r:
-                checks["subset-products-nontrivial"] = False
-                raise ConstructionError(
-                    f"sub-product over positions {subset} degenerates: {prod.words()}"
-                )
+    if 1 << m > cap:
+        raise ClosureCapError(f"base group X of order 2^{m} exceeds cap {cap}")
+    # commuting involutions: the sub-products are X, all distinct exactly
+    # when none is 1; a Gray code reaches each with one product
+    prod = units[0].algebra.one()
+    base = [prod]
+    for i in range(1, 1 << m):
+        prod = prod * units[(i & -i).bit_length() - 1]
+        subset = i ^ (i >> 1)
+        if prod.support_size() != 1 + 2 * subset.bit_count():
+            positions = tuple(j for j in range(m) if subset >> j & 1)
+            raise ConstructionError(
+                f"sub-product over positions {positions} degenerates: {prod.words()}"
+            )
+        base.append(prod)
     checks["subset-products-nontrivial"] = True
-    base = bfs_closure(units, cap=cap)
-    if len(base) != 1 << len(units):
-        raise ConstructionError(
-            f"|X| = {len(base)}, expected {1 << len(units)}"
-        )
-    return base, checks
+    return sorted(base, key=lambda u: u.bits), checks
 
 
 def build_section(
@@ -336,16 +334,15 @@ def build_section(
     """Quotient <X, a> / <a^(2^s)> and its wreath-product verification."""
     group = algebra.group
     m = 1 << w.s
-    a_emb = algebra.embed(w.a)
-    ambient = bfs_closure(list(base) + [a_emb], cap=cap)
+    gens = list(orbit.units) + [algebra.embed(w.a)]
+    ambient = bfs_closure(gens, cap=cap)
     a_pow = algebra.embed(group.power(w.a, m))
     kernel = bfs_closure([a_pow], cap=cap)
 
     checks = dict(base_checks or {})
     checks.setdefault("orbit-closed-form", True)  # build_orbit already enforced it
-    checks["kernel-central"] = all(
-        n * y == y * n for n in kernel for y in ambient
-    )
+    # the kernel <a^m> is central in <gens> exactly when a^m commutes with gens
+    checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
     quotient = QuotientGroup(ambient, kernel)
     report = SectionReport(
@@ -361,9 +358,9 @@ def build_section(
         and len(kernel) == 1 << (w.k - w.s)
     )
 
-    table = quotient.to_table_group()
+    table = quotient.to_table_group(gens)
     images = [quotient.coset_index(u) for u in orbit.units]
-    top = quotient.coset_index(a_emb)
+    top = quotient.coset_index(gens[-1])
     checks.update(verify_wreath(table, images, top, w.s, use_oracle=use_oracle))
     report.checks = checks
     return report
@@ -441,9 +438,6 @@ class PipelineResult:
         if self.error is not None:
             out["error"] = self.error
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_pipeline(

@@ -49,12 +49,6 @@ class GroupAlgebra:
             bits ^= 1 << g
         return AlgebraElement(self, bits)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupAlgebra) and self.group is other.group
-
-    def __hash__(self):
-        return hash(id(self.group))
-
 
 class AlgebraElement:
     """An element of KG as an immutable bitset over the element index."""

@@ -233,6 +233,26 @@ def closure(gens, multiply, identity, cap: int | None = None) -> set:
     return seen
 
 
+def table_from_rows(rows, identity: int) -> list[list[int]]:
+    """Cayley table on 0..N-1 from the generators' left-multiplication rows.
+
+    rows[k][y] is gk·y.  Every element x = gk·w that closure reaches from
+    identity gets its row by lookups, x·y = gk·(w·y), so the generators
+    must generate the group.
+    """
+    table: list = [None] * len(rows[0])
+    table[identity] = list(range(len(table)))
+
+    def left(w: int, k: int) -> int:
+        x = rows[k][w]
+        if table[x] is None:
+            table[x] = list(map(rows[k].__getitem__, table[w]))
+        return x
+
+    closure(range(len(rows)), left, identity)
+    return table
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup as a sorted tuple of element indices plus its generators."""
@@ -244,9 +264,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
-
 
 class FiniteGroup:
     """A finite 2-group realized by collection over a pc presentation.
@@ -255,9 +272,8 @@ class FiniteGroup:
     first proves the presentation consistent by the overlap test, at every
     order, so that collection computes products in a group of order 2^n.
     For orders up to CAYLEY_LIMIT it then materializes the multiplication
-    table: the n generator rows by collection, every other row as
-    x·y = lead·(rest·y) from the row of x's first generator.  Above the
-    limit, products are collected on demand.
+    table from the n generator rows (table_from_rows).  Above the limit,
+    products are collected on demand.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -335,24 +351,16 @@ class FiniteGroup:
                         )
 
     def _build_cayley(self) -> list[list[int]]:
-        """Generator rows by collection; every other row from two earlier ones.
-
-        Needs consistency: x = lead·rest in normal form, with lead the
-        first generator of x, so x·y = lead·(rest·y).
-        """
+        """The n generator rows by collection (needs consistency), then the rest."""
         order, n = self.order, self.n
-        table = [list(range(order))]
-        for x in range(1, order):
-            lead = 1 << (x.bit_length() - 1)
-            if x == lead:
-                row = [x] * order
-                for y in range(1, order):
-                    j = n - (y & -y).bit_length() + 1
-                    row[y] = self._times_gen(row[y & (y - 1)], j)
-            else:
-                row = list(map(table[lead].__getitem__, table[x ^ lead]))
-            table.append(row)
-        return table
+        rows = []
+        for k in range(1, n + 1):
+            row = [1 << (n - k)] * order
+            for y in range(1, order):
+                j = n - (y & -y).bit_length() + 1
+                row[y] = self._times_gen(row[y & (y - 1)], j)
+            rows.append(row)
+        return table_from_rows(rows, 0)
 
     # --- core operations ------------------------------------------------
 

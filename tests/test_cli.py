@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import unitwreath
 from unitwreath.cli import main
 
 
@@ -132,6 +136,25 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "cap 8" in err
+
+    def test_cap_bounds_the_base_group(self, tmp_path):
+        # D128 x C2 (s = 5): X would have 2^32 elements.  A subprocess with a
+        # timeout, so that enumerating X fails the test instead of hanging it.
+        rots = [f"r{i}" for i in range(1, 7)]
+        lines = ["group D128xC2", "gens " + " ".join(rots) + " t c"]
+        lines += [f"pow r{i} = r{i + 1}" for i in range(1, 6)]
+        lines += [f"conj t r{i} = t r{i + 1}" for i in range(1, 6)]
+        path = tmp_path / "D128xC2.pc2"
+        path.write_text("\n".join(lines) + "\n")
+        src = str(Path(unitwreath.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "unitwreath.cli", "verify", str(path), "--json"],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "cap 65536" in proc.stderr
 
     def test_bad_witness_exits_3(self, capsys, d8xc2_path):
         code, _, err = run(

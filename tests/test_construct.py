@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitwreath.cli import _dump
 from unitwreath.construct import (
     REASON_ABELIAN,
     REASON_NO_Z,
@@ -18,7 +19,17 @@ from unitwreath.construct import (
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
 from unitwreath.oracle import bfs_closure
-from unitwreath.pcgroup import load
+from unitwreath.pcgroup import load, load_file
+
+
+def section_quotient(result):
+    """The section's QuotientGroup for a pipeline result, and its generators."""
+    algebra = result.orbit.units[0].algebra
+    w = result.witness
+    gens = list(result.orbit.units) + [algebra.embed(w.a)]
+    ambient = bfs_closure(gens)
+    kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
+    return QuotientGroup(ambient, kernel), gens
 
 
 @pytest.fixture(scope="module")
@@ -173,15 +184,11 @@ class TestSection:
         for u in pipeline.orbit.units:
             assert conjugate_unit(u, a_pow) == u
 
-    def test_corrupted_quotient_fails(self, pipeline, d8xc2, d8xc2_algebra):
-        w = pipeline.witness
-        base, _ = verify_base_group(pipeline.orbit)
-        ambient = bfs_closure(list(base) + [d8xc2_algebra.embed(w.a)])
-        kernel = bfs_closure([d8xc2_algebra.embed(d8xc2.power(w.a, 2))])
-        quotient = QuotientGroup(ambient, kernel)
-        table = quotient.to_table_group()
+    def test_corrupted_quotient_fails(self, pipeline):
+        quotient, gens = section_quotient(pipeline)
+        table = quotient.to_table_group(gens)
         images = [quotient.coset_index(u) for u in pipeline.orbit.units]
-        top = quotient.coset_index(d8xc2_algebra.embed(w.a))
+        top = quotient.coset_index(gens[-1])
         # swap two entries in the top row: breaks the group structure
         corrupt = [row[:] for row in table.table]
         corrupt[top][images[0]], corrupt[top][images[1]] = (
@@ -190,31 +197,48 @@ class TestSection:
         )
         from unitwreath.oracle import TableGroup
 
-        checks = verify_wreath(TableGroup(corrupt), images, top, w.s, use_oracle=True)
+        checks = verify_wreath(
+            TableGroup(corrupt), images, top, pipeline.witness.s, use_oracle=True
+        )
         assert not all(checks.values())
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_quotient_multiplication_is_representative_independent(
-        self, pipeline, d8xc2, d8xc2_algebra, data
+        self, pipeline, d8xc2_algebra, data
     ):
-        w = pipeline.witness
-        base, _ = verify_base_group(pipeline.orbit)
-        ambient = bfs_closure(list(base) + [d8xc2_algebra.embed(w.a)])
-        kernel = bfs_closure([d8xc2_algebra.embed(d8xc2.power(w.a, 2))])
-        quotient = QuotientGroup(ambient, kernel)
+        quotient, gens = section_quotient(pipeline)
+        table = quotient.to_table_group(gens)
         conv = d8xc2_algebra._conv
         i = data.draw(st.integers(0, quotient.order - 1))
         j = data.draw(st.integers(0, quotient.order - 1))
         ri = data.draw(st.sampled_from(sorted(quotient.cosets[i])))
         rj = data.draw(st.sampled_from(sorted(quotient.cosets[j])))
-        assert quotient.coset_of[conv.convolve(ri, rj)] == quotient.mul(i, j)
+        assert quotient.coset_of[conv.convolve(ri, rj)] == table.mul(i, j)
+
+    def test_generator_row_table_matches_representative_products(self, corpus_dir):
+        # the brute-force table: every pair of coset representatives convolved
+        checked = 0
+        paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+        for path in paths:
+            result = run_pipeline(load_file(path), use_oracle=False)
+            if not result.hypothesis.passed:
+                continue
+            quotient, gens = section_quotient(result)
+            table = quotient.to_table_group(gens)
+            conv = gens[0].algebra._conv.convolve
+            reps = quotient.reps
+            assert table.table == [
+                [quotient.coset_of[conv(ri, rj)] for rj in reps] for ri in reps
+            ], path.stem
+            checked += 1
+        assert checked == 24
 
 
 class TestPipeline:
     def test_deterministic(self, d8xc2):
-        first = run_pipeline(d8xc2, use_oracle=True).to_json()
-        second = run_pipeline(d8xc2, use_oracle=True).to_json()
+        first = _dump(run_pipeline(d8xc2, use_oracle=True).to_dict())
+        second = _dump(run_pipeline(d8xc2, use_oracle=True).to_dict())
         assert first == second
 
     def test_failing_group_reports_reason(self, d8):

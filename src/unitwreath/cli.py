@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="presentation file or corpus directory")
     add_common(p, witness=True, cap=True)
     p.add_argument("--oracle", action="store_true",
-                   help="enable brute-force isomorphism cross-check")
+                   help="enable brute-force isomorphism cross-check "
+                   f"(run only when s <= {construct.ORACLE_MAX_S})")
     p.add_argument("--order", type=int, default=None,
                    help="restrict a directory sweep to one group order")
     p.add_argument("--first-failure", dest="keep_going", action="store_false",

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra, conjugate_unit, unit_order
-from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_wreath
+from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
 from .pcgroup import ClosureCapError, FiniteGroup, table_from_rows
 
 CHECK_NAMES = (
@@ -32,6 +32,7 @@ CHECK_NAMES = (
     "oracle-isomorphism",
 )
 
+ORACLE_MAX_S = 2  # --oracle runs the isomorphism test up to C2 wr C4 (order 64)
 REASON_ABELIAN = "abelian"
 REASON_NOT_CYCLIC = "derived-not-cyclic"
 REASON_NO_Z = "no-central-involution-outside-derived"
@@ -335,6 +336,10 @@ def build_section(
     group = algebra.group
     m = 1 << w.s
     gens = list(orbit.units) + [algebra.embed(w.a)]
+    if 2 * len(base) > cap:  # a is not in X: support 1, against 1 + 2|S| >= 3
+        raise ClosureCapError(
+            f"ambient group <X, a> of order at least 2|X| = {2 * len(base)} exceeds cap {cap}"
+        )
     ambient = bfs_closure(gens, cap=cap)
     a_pow = algebra.embed(group.power(w.a, m))
     kernel = bfs_closure([a_pow], cap=cap)
@@ -363,6 +368,8 @@ def build_section(
     top = quotient.coset_index(gens[-1])
     checks.update(verify_wreath(table, images, top, w.s, use_oracle=use_oracle))
     report.checks = checks
+    if use_oracle and w.s > ORACLE_MAX_S:
+        report.detail = f"oracle-isomorphism skipped: --oracle runs only for s <= {ORACLE_MAX_S}"
     return report
 
 
@@ -399,10 +406,8 @@ def verify_wreath(
     checks["complement-trivial-intersection"] = (
         base & top_cyc == {group.identity} and len(base) * len(top_cyc) == group.order
     )
-    if use_oracle and s <= 2:
-        checks["oracle-isomorphism"] = isomorphic_small(
-            group, reference_wreath(s).to_table_group()
-        )
+    if use_oracle and s <= ORACLE_MAX_S:
+        checks["oracle-isomorphism"] = isomorphic_small(group, reference_table(s))
     return checks
 
 

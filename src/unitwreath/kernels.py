@@ -23,8 +23,7 @@ class Convolver:
     """GF(2) convolution over a fixed multiplication table."""
 
     def __init__(self, table: list[list[int]]):
-        self.order = len(table)
-        self._rows = [list(row) for row in table]
+        self._rows = table  # shared with the group, never mutated
 
     def convolve(self, ubits: int, vbits: int) -> int:
         v_idx = bit_indices(vbits)

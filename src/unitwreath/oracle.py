@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: BFS closures in the unit group, an
 explicit coordinate model of the wreath product C2 wr C_m, and a
-backtracking isomorphism search over full multiplication tables.
+backtracking isomorphism search over generator images of full tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .grpalg import AlgebraElement
 # ClosureCapError is re-exported: bfs_closure raises it
@@ -75,6 +76,7 @@ class TableGroup:
         return k
 
     def order_profile(self) -> tuple[int, ...]:
+        """Sorted element orders; fills the per-element list `_orders` once."""
         if self._orders is None:
             self._orders = [self.order_of(x) for x in range(self.order)]
         return tuple(sorted(self._orders))
@@ -83,15 +85,14 @@ class TableGroup:
         return closure(gens, self.mul, self.identity)
 
     def generating_sequence(self) -> list[int]:
-        """Greedy generating sequence with strictly growing closures."""
+        """Greedy generating sequence by decreasing element order, then index."""
+        self.order_profile()
         gens: list[int] = []
         closed = {self.identity}
-        while len(closed) < self.order:
-            for x in range(self.order):
-                if x not in closed:
-                    gens.append(x)
-                    closed = self.closure(gens)
-                    break
+        for x in sorted(range(self.order), key=lambda x: (-self._orders[x], x)):
+            if x not in closed:
+                gens.append(x)
+                closed = self.closure(gens)
         return gens
 
     def is_abelian(self) -> bool:
@@ -151,57 +152,62 @@ def reference_wreath(s: int) -> WreathModel:
     return WreathModel(m=1 << s)
 
 
+@cache
+def reference_table(s: int) -> TableGroup:
+    """The table of reference_wreath(s), built once per s; do not mutate it."""
+    return reference_wreath(s).to_table_group()
+
+
 def _extend_isomorphism(a: TableGroup, b: TableGroup, gens, imgs):
-    """Word extension of generator images; None unless a bijective hom."""
+    """Word extension of generator images; None unless a bijective hom.
+
+    The BFS checks f(x·g) = f(x)·f(g) on every edge, for each generator g;
+    every y is a word in the generators, so by induction on its length
+    f(x·y) = f(x)·f(y).  A bijective f is therefore an isomorphism.
+    """
     fmap = {a.identity: b.identity}
-    frontier = [a.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = fmap[x]
-            for g, h in zip(gens, imgs):
-                y = a.mul(x, g)
-                fy = b.mul(fx, h)
-                known = fmap.get(y)
-                if known is None:
-                    fmap[y] = fy
-                    nxt.append(y)
-                elif known != fy:
-                    return None
-        frontier = nxt
+    queue = [a.identity]
+    for x in queue:  # grows as it is read: a BFS
+        fx = fmap[x]
+        for g, h in zip(gens, imgs):
+            y = a.mul(x, g)
+            fy = b.mul(fx, h)
+            known = fmap.get(y)
+            if known is None:
+                fmap[y] = fy
+                queue.append(y)
+            elif known != fy:
+                return None
     if len(fmap) != a.order or len(set(fmap.values())) != a.order:
         return None
-    for x in range(a.order):
-        fx = fmap[x]
-        for y in range(a.order):
-            if fmap[a.mul(x, y)] != b.mul(fx, fmap[y]):
-                return None
     return fmap
 
 
 def isomorphic_small(a: TableGroup, b: TableGroup) -> bool:
     """Exact isomorphism test by backtracking over generator images.
 
+    An image y of generator t is tried only if it has t's order and
+    |img_u·y| = |g_u·g_t| for each earlier u; then the images so far must
+    generate a subgroup as large as the generators so far do.
     Intended for orders up to 64; correct (if slower) beyond that.
     """
-    if a.order != b.order:
+    if a.order != b.order or a.order_profile() != b.order_profile():
         return False
-    if a.order_profile() != b.order_profile():
-        return False
+    a_ord, b_ord = a._orders, b._orders
     gens = a.generating_sequence()
-    sizes = []
-    for t in range(len(gens)):
-        sizes.append(len(a.closure(gens[: t + 1])))
-    a_orders = [a.order_of(g) for g in gens]
+    sizes = [len(a.closure(gens[: t + 1])) for t in range(len(gens))]
+    pair_orders = [[a_ord[a.mul(u, g)] for u in gens[:t]] for t, g in enumerate(gens)]
+    candidates = [[y for y in range(b.order) if b_ord[y] == a_ord[g]] for g in gens]
 
     def search(t: int, imgs: list[int]) -> bool:
         if t == len(gens):
             return _extend_isomorphism(a, b, gens, imgs) is not None
-        for y in range(b.order):
-            if b.order_of(y) != a_orders[t]:
+        for y in candidates[t]:
+            if any(b_ord[b.mul(h, y)] != k for h, k in zip(imgs, pair_orders[t])):
                 continue
             imgs.append(y)
-            if len(b.closure(imgs)) == sizes[t] and search(t + 1, imgs):
+            full = t + 1 == len(gens)  # then the leaf's bijection check sizes it
+            if (full or len(b.closure(imgs)) == sizes[t]) and search(t + 1, imgs):
                 return True
             imgs.pop()
         return False

@@ -15,6 +15,28 @@ def d8xc2_path(corpus_dir):
     return str(corpus_dir / "o16" / "D8xC2.pc2")
 
 
+def dihedral_times_c2(tmp_path, n: int) -> str:
+    """Write D_(2^n) x C2 (order 2^(n+1), s = n - 2) and return its path."""
+    rots = [f"r{i}" for i in range(1, n)]
+    lines = [f"group D{1 << n}xC2", "gens " + " ".join(rots) + " t c"]
+    lines += [f"pow r{i} = r{i + 1}" for i in range(1, n - 1)]
+    lines += [f"conj t r{i} = t r{i + 1}" for i in range(1, n - 1)]
+    path = tmp_path / f"D{1 << n}xC2.pc2"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def run_subprocess(*argv):
+    """The CLI in a child process with a timeout, so that a runaway
+    enumeration fails the test instead of hanging it."""
+    src = str(Path(unitwreath.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "unitwreath.cli", *argv],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -138,23 +160,32 @@ class TestVerify:
         assert err.count("\n") == 1 and "cap 8" in err
 
     def test_cap_bounds_the_base_group(self, tmp_path):
-        # D128 x C2 (s = 5): X would have 2^32 elements.  A subprocess with a
-        # timeout, so that enumerating X fails the test instead of hanging it.
-        rots = [f"r{i}" for i in range(1, 7)]
-        lines = ["group D128xC2", "gens " + " ".join(rots) + " t c"]
-        lines += [f"pow r{i} = r{i + 1}" for i in range(1, 6)]
-        lines += [f"conj t r{i} = t r{i + 1}" for i in range(1, 6)]
-        path = tmp_path / "D128xC2.pc2"
-        path.write_text("\n".join(lines) + "\n")
-        src = str(Path(unitwreath.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "unitwreath.cli", "verify", str(path), "--json"],
-            capture_output=True, text=True, timeout=30,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        # D128 x C2 (s = 5): X would have 2^32 elements
+        proc = run_subprocess("verify", dihedral_times_c2(tmp_path, 7), "--json")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "cap 65536" in proc.stderr
+
+    def test_cap_bounds_the_ambient_group_before_closing_it(self, tmp_path):
+        # D64 x C2 (s = 4): |X| = 2^16 fits the cap, but <X, a> has at least
+        # 2^17 elements, which is known before the closure starts
+        proc = run_subprocess("verify", dihedral_times_c2(tmp_path, 6), "--json")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "<X, a>" in proc.stderr and "2|X| = 131072 exceeds cap 65536" in proc.stderr
+
+    def test_oracle_skip_is_reported(self, capsys, tmp_path):
+        # D32 x C2 has s = 3, above the oracle's limit
+        code, out, _ = run(
+            capsys, "verify", dihedral_times_c2(tmp_path, 5), "--oracle", "--json"
+        )
+        assert code == 0
+        section = json.loads(out)["section"]
+        assert "oracle-isomorphism" not in section["checks"]
+        assert section["detail"] == (
+            "oracle-isomorphism skipped: --oracle runs only for s <= 2"
+        )
 
     def test_bad_witness_exits_3(self, capsys, d8xc2_path):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,8 +11,10 @@ from unitwreath.oracle import (
     WreathModel,
     bfs_closure,
     isomorphic_small,
+    reference_table,
     reference_wreath,
 )
+from unitwreath.pcgroup import load_file
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +27,27 @@ def h(d8xc2_algebra):
 
 def cyclic_table(m):
     return TableGroup([[(i + j) % m for j in range(m)] for i in range(m)])
+
+
+def relabelled(group: TableGroup, rng: random.Random) -> TableGroup:
+    """The same group with its elements renumbered by a random permutation."""
+    perm = list(range(group.order))
+    rng.shuffle(perm)
+    table = [[0] * group.order for _ in range(group.order)]
+    for x in range(group.order):
+        for y in range(group.order):
+            table[perm[x]][perm[y]] = perm[group.mul(x, y)]
+    return TableGroup(table)
+
+
+@pytest.fixture(scope="module")
+def small_tables(corpus_dir):
+    """Every corpus group of order 8, 16 and 32, by name."""
+    return {
+        p.stem: TableGroup(load_file(p).cayley)
+        for d in ("o8", "o16", "o32")
+        for p in sorted((corpus_dir / d).glob("*.pc2"))
+    }
 
 
 class TestBfsClosure:
@@ -103,6 +127,11 @@ class TestWreathModel:
         checks = verify_wreath(table, images, top, s, use_oracle=True)
         assert all(checks.values()), checks
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_reference_table_is_built_once(self, s):
+        assert reference_table(s) is reference_table(s)
+        assert reference_table(s).table == reference_wreath(s).to_table_group().table
+
 
 class TestIsomorphicSmall:
     def test_self_comparison(self):
@@ -136,3 +165,32 @@ class TestIsomorphicSmall:
         q8 = TableGroup(load_file(corpus_dir / "o8" / "Q8.pc2").cayley)
         d8 = TableGroup(load_file(corpus_dir / "o8" / "D8.pc2").cayley)
         assert not isomorphic_small(q8, d8)
+
+
+class TestGeneratorImageSearch:
+    def test_generating_sequence(self, small_tables):
+        for name, group in small_tables.items():
+            gens = group.generating_sequence()
+            orders = [group.order_of(g) for g in gens]
+            assert orders == sorted(orders, reverse=True), name
+            sizes = [len(group.closure(gens[: t + 1])) for t in range(len(gens))]
+            assert sizes == sorted(set(sizes)) and sizes[-1] == group.order, name
+
+    def test_random_relabelling_is_isomorphic(self, small_tables):
+        rng = random.Random(1)
+        for name, group in small_tables.items():
+            other = relabelled(group, rng)
+            assert isomorphic_small(group, other), name
+            assert isomorphic_small(other, group), name
+
+    def test_same_profile_groups_are_not_isomorphic(self, small_tables):
+        groups = [(n, g) for n, g in small_tables.items() if g.order <= 16]
+        pairs = [
+            (x, y)
+            for x, y in itertools.combinations(groups, 2)
+            if x[1].order == y[1].order and x[1].order_profile() == y[1].order_profile()
+        ]
+        assert len(pairs) == 7
+        for (name_a, a), (name_b, b) in pairs:
+            assert not isomorphic_small(a, b), (name_a, name_b)
+            assert not isomorphic_small(b, a), (name_a, name_b)

@@ -22,6 +22,7 @@ from unitwreath.pcgroup import (
     ConsistencyError,
     FiniteGroup,
     PcPresentation,
+    load,
     serialize_presentation,
 )
 
@@ -147,7 +148,7 @@ def main():
 
     # write out, substituting canonical files where an isomorphic class exists
     canonical_groups = {
-        name: FiniteGroup(_parse(text)) for name, text in CANONICAL.items()
+        name: load(text) for name, text in CANONICAL.items()
     }
     for order, reps in levels.items():
         out_dir = out_root / f"o{order}"
@@ -178,12 +179,6 @@ def main():
             )
             (out_dir / f"{named.name}.pc2").write_text(serialize_presentation(named))
         print(f"wrote {order}: {len(list(out_dir.glob('*.pc2')))} files")
-
-
-def _parse(text):
-    from unitwreath.pcgroup import parse_presentation
-
-    return parse_presentation(text)
 
 
 if __name__ == "__main__":

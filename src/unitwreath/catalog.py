@@ -19,7 +19,6 @@ from .pcgroup import ClosureCapError, FiniteGroup, PcError, TableLimitError
 @dataclass
 class CatalogEntry:
     name: str
-    path: Path
     order: int | None = None
     group: FiniteGroup | None = None
     report: HypothesisReport | None = None
@@ -47,7 +46,7 @@ def load_entries(directory, order_filter: int | None = None) -> list[CatalogEntr
         raise NotADirectoryError(str(directory))
     entries = []
     for path in _iter_files(directory):
-        entry = CatalogEntry(name=path.stem, path=path)
+        entry = CatalogEntry(name=path.stem)
         try:
             group = pcgroup.load_file(path)
             entry.group = group

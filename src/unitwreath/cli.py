@@ -28,10 +28,15 @@ def _parse_witness(group, spec: str):
     """Parse "a=<word>,b=<word>,z=<word>"; words use '*' or '·' separators."""
     parts = {}
     for item in spec.split(","):
-        if "=" not in item:
+        key, sep, word = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise pcgroup.ParseError(f"bad witness component {item!r}")
-        key, _, word = item.partition("=")
-        parts[key.strip()] = group.parse_word(word)
+        if key not in ("a", "b", "z"):
+            raise pcgroup.ParseError(f"unknown witness key {key!r}")
+        if key in parts:
+            raise pcgroup.ParseError(f"witness key {key!r} given twice")
+        parts[key] = group.parse_word(word)
     missing = {"a", "b", "z"} - set(parts)
     if missing:
         raise pcgroup.ParseError(f"witness override missing {sorted(missing)}")
@@ -226,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("model", help="dump the reference wreath product C2 wr C_(2^s)")
-    p.add_argument("s", type=_positive_int)
+    p.add_argument("s", type=int, choices=range(1, 4))  # s = 4: a table of 2^40 entries
     add_common(p)
     p.set_defaults(func=_cmd_model)
 
@@ -236,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.witness and Path(args.path).is_dir():
+        parser.error("--witness applies to one presentation file, not a directory")
     try:
         return args.func(args)
     except (pcgroup.PcError, oracle.ClosureCapError, construct.NoWitnessError) as exc:

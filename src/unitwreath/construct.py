@@ -16,7 +16,7 @@ from itertools import combinations
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra, conjugate_unit, unit_order
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
-from .pcgroup import ClosureCapError, FiniteGroup, table_from_rows
+from .pcgroup import ClosureCapError, FiniteGroup, closure, table_from_rows
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -122,46 +122,38 @@ class SectionReport:
 
 
 class QuotientGroup:
-    """Quotient of an enumerated unit subgroup by a central subgroup.
+    """The quotient of the unit group <gens> by a central subgroup, the kernel.
 
-    Cosets are frozensets of unit bitsets; the canonical representative of
-    a coset minimizes (support size, bitset value), and cosets are indexed
-    in the order of their representatives.
+    A coset is named by its member of least (support size, bitset), and the
+    cosets are indexed in the order of those representatives, so the
+    identity's coset is 0.  The closure runs over representatives: each is
+    multiplied on the left by each generator once, and rows[k][i] is the
+    index of gens[k]·reps[i].
     """
 
-    def __init__(self, ambient: list[AlgebraElement], kernel: list[AlgebraElement]):
-        self.algebra = ambient[0].algebra
-        kernel_bits = [u.bits for u in kernel]
-        conv = self.algebra._conv
-        coset_of: dict[int, int] = {}
-        cosets: list[frozenset[int]] = []
-        for u in ambient:
-            if u.bits in coset_of:
-                continue
-            members = frozenset(conv.convolve(u.bits, kb) for kb in kernel_bits)
-            idx = len(cosets)
-            cosets.append(members)
-            for m in members:
-                coset_of[m] = idx
-        # reorder by canonical representative for determinism
-        reps = [min(c, key=lambda bits: (bits.bit_count(), bits)) for c in cosets]
-        perm = sorted(range(len(cosets)), key=lambda i: (reps[i].bit_count(), reps[i]))
-        self.cosets = [cosets[i] for i in perm]
-        self.reps = [reps[i] for i in perm]
-        self.coset_of = {}
-        for idx, members in enumerate(self.cosets):
-            for m in members:
-                self.coset_of[m] = idx
-        self.order = len(self.cosets)
+    def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement],
+                 cap: int = oracle.DEFAULT_CAP):
+        conv = gens[0].algebra._conv.convolve
+        shifts = [k.bits for k in kernel if k.bits != 1]
 
-    def coset_index(self, u: AlgebraElement) -> int:
-        return self.coset_of[u.bits]
+        def key(bits: int) -> tuple[int, int]:
+            return bits.bit_count(), bits
 
-    def to_table_group(self, gens: list[AlgebraElement]) -> TableGroup:
-        """The table from one row of products per generator of the ambient group."""
-        conv = self.algebra._conv.convolve
-        rows = [[self.coset_of[conv(g.bits, r)] for r in self.reps] for g in gens]
-        return TableGroup(table_from_rows(rows, self.coset_of[1]))
+        products = {}
+
+        def left(x: int, k: int) -> int:
+            y = conv(gens[k].bits, x)
+            products[k, x] = rep = min([y] + [conv(y, t) for t in shifts], key=key)
+            return rep
+
+        self.reps = sorted(closure(range(len(gens)), left, 1, cap), key=key)
+        self.order = len(self.reps)
+        index = {r: i for i, r in enumerate(self.reps)}
+        self.rows = [[index[products[k, r]] for r in self.reps] for k in range(len(gens))]
+
+    def to_table_group(self) -> TableGroup:
+        """The table from the generators' rows of products with representatives."""
+        return TableGroup(table_from_rows(self.rows, 0))
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
@@ -334,14 +326,8 @@ def build_section(
 ) -> SectionReport:
     """Quotient <X, a> / <a^(2^s)> and its wreath-product verification."""
     group = algebra.group
-    m = 1 << w.s
     gens = list(orbit.units) + [algebra.embed(w.a)]
-    if 2 * len(base) > cap:  # a is not in X: support 1, against 1 + 2|S| >= 3
-        raise ClosureCapError(
-            f"ambient group <X, a> of order at least 2|X| = {2 * len(base)} exceeds cap {cap}"
-        )
-    ambient = bfs_closure(gens, cap=cap)
-    a_pow = algebra.embed(group.power(w.a, m))
+    a_pow = algebra.embed(group.power(w.a, 1 << w.s))
     kernel = bfs_closure([a_pow], cap=cap)
 
     checks = dict(base_checks or {})
@@ -349,23 +335,24 @@ def build_section(
     # the kernel <a^m> is central in <gens> exactly when a^m commutes with gens
     checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
-    quotient = QuotientGroup(ambient, kernel)
+    quotient = QuotientGroup(gens, kernel, cap=cap)
+    # Lagrange: the kernel <a^m> lies in <X, a>
+    ambient_order = quotient.order * len(kernel)
     report = SectionReport(
         witness=w,
         base_order=len(base),
-        ambient_order=len(ambient),
+        ambient_order=ambient_order,
         kernel_order=len(kernel),
         quotient_order=quotient.order,
     )
     checks["quotient-order"] = (
         quotient.order == 1 << ((1 << w.s) + w.s)
-        and len(ambient) == (1 << (1 << w.s)) * (1 << w.k)
+        and ambient_order == (1 << (1 << w.s)) * (1 << w.k)
         and len(kernel) == 1 << (w.k - w.s)
     )
 
-    table = quotient.to_table_group(gens)
-    images = [quotient.coset_index(u) for u in orbit.units]
-    top = quotient.coset_index(gens[-1])
+    table = quotient.to_table_group()
+    *images, top = [row[0] for row in quotient.rows]  # gens[k] is rows[k][0]
     checks.update(verify_wreath(table, images, top, w.s, use_oracle=use_oracle))
     report.checks = checks
     if use_oracle and w.s > ORACLE_MAX_S:
@@ -472,6 +459,11 @@ def run_pipeline(
         result.witness = witness
         orbit = build_orbit(algebra, witness)
         result.orbit = orbit
+        m = len(orbit.units)
+        if 2 << m > cap:  # a is not in X: support 1, against 1 + 2|S| >= 3
+            raise ClosureCapError(
+                f"ambient group <X, a> of order at least 2|X| = {2 << m} exceeds cap {cap}"
+            )
         base, base_checks = verify_base_group(orbit, cap=cap)
         result.section = build_section(
             algebra, witness, base, orbit,

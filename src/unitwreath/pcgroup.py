@@ -255,10 +255,9 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup as a sorted tuple of element indices plus its generators."""
+    """A subgroup as a sorted tuple of element indices."""
 
     elements: tuple[int, ...]
-    gens: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -412,9 +411,8 @@ class FiniteGroup:
     # --- subgroups -------------------------------------------------------
 
     def subgroup_closure(self, gens) -> Subgroup:
-        gens = tuple(gens)
         seen = closure(gens, self.multiply, self.identity)
-        return Subgroup(elements=tuple(sorted(seen)), gens=gens)
+        return Subgroup(elements=tuple(sorted(seen)))
 
     def derived_subgroup(self) -> Subgroup:
         gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
@@ -425,7 +423,7 @@ class FiniteGroup:
         gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
         central = [x for x in self.elements()
                    if all(self.multiply(x, g) == self.multiply(g, x) for g in gens)]
-        return Subgroup(elements=tuple(central), gens=tuple(central))
+        return Subgroup(elements=tuple(central))
 
     def is_abelian(self) -> bool:
         gens = [1 << (self.n - j) for j in range(1, self.n + 1)]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import unitwreath
+from unitwreath import oracle
 from unitwreath.cli import main
 
 
@@ -153,11 +154,13 @@ class TestVerify:
         assert data["witness"]["z"] == "c·z"
         assert data["verdict"] == "pass"
 
-    def test_closure_cap_exits_3(self, capsys, d8xc2_path):
-        code, out, err = run(capsys, "verify", d8xc2_path, "--cap", "8", "--json")
+    def test_closure_cap_exits_3(self, capsys, tmp_path):
+        # D16 x C2 (s = 2): X (16) fits the cap, the section's 64 cosets do not
+        path = dihedral_times_c2(tmp_path, 4)
+        code, out, err = run(capsys, "verify", path, "--cap", "32", "--json")
         assert code == 3
         assert out == ""
-        assert err.count("\n") == 1 and "cap 8" in err
+        assert err.count("\n") == 1 and "cap 32" in err
 
     def test_cap_bounds_the_base_group(self, tmp_path):
         # D128 x C2 (s = 5): X would have 2^32 elements
@@ -192,6 +195,27 @@ class TestVerify:
             capsys, "verify", d8xc2_path, "--witness", "a=c,b=c,z=z"
         )
         assert code == 3
+
+    def test_witness_on_a_directory_exits_3(self, capsys, corpus_dir):
+        code, out, err = run(
+            capsys, "verify", str(corpus_dir / "o16"), "--witness", "a=a,b=b,z=z"
+        )
+        assert code == 3
+        assert out == ""
+        assert "--witness applies to one presentation file" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a=a,b=b,z=z,q=c", "unknown witness key 'q'"),
+            ("a=a,b=b,z=z,a=a", "witness key 'a' given twice"),
+        ],
+    )
+    def test_witness_key_errors_exit_3(self, capsys, d8xc2_path, spec, message):
+        code, out, err = run(capsys, "verify", d8xc2_path, "--witness", spec)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
 
     def test_directory_sweep(self, capsys, corpus_dir):
         code, out, _ = run(
@@ -228,6 +252,17 @@ class TestModel:
         data = json.loads(out)
         assert data["order"] == 8
         assert len(data["table"]) == 8
+
+    def test_model_above_s3_is_a_usage_error(self, capsys, monkeypatch):
+        # s = 4 would build a table on 2^20 elements: refuse before any is listed
+        def refuse(model):
+            raise AssertionError(f"listed the elements of C2 wr C{model.m}")
+
+        monkeypatch.setattr(oracle.WreathModel, "elements", refuse)
+        code, out, err = run(capsys, "model", "4")
+        assert code == 3
+        assert out == ""
+        assert "invalid choice" in err
 
     def test_exit_code_matches_verdict(self, capsys, d8xc2_path):
         code, out, _ = run(capsys, "verify", d8xc2_path, "--oracle", "--json")

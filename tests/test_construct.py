@@ -23,13 +23,16 @@ from unitwreath.pcgroup import load, load_file
 
 
 def section_quotient(result):
-    """The section's QuotientGroup for a pipeline result, and its generators."""
+    """The section's QuotientGroup for a pipeline result, its generators and kernel."""
     algebra = result.orbit.units[0].algebra
     w = result.witness
     gens = list(result.orbit.units) + [algebra.embed(w.a)]
-    ambient = bfs_closure(gens)
     kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
-    return QuotientGroup(ambient, kernel), gens
+    return QuotientGroup(gens, kernel), gens, kernel
+
+
+def rep_key(bits):
+    return bits.bit_count(), bits
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +188,9 @@ class TestSection:
             assert conjugate_unit(u, a_pow) == u
 
     def test_corrupted_quotient_fails(self, pipeline):
-        quotient, gens = section_quotient(pipeline)
-        table = quotient.to_table_group(gens)
-        images = [quotient.coset_index(u) for u in pipeline.orbit.units]
-        top = quotient.coset_index(gens[-1])
+        quotient, _, _ = section_quotient(pipeline)
+        table = quotient.to_table_group()
+        *images, top = [row[0] for row in quotient.rows]
         # swap two entries in the top row: breaks the group structure
         corrupt = [row[:] for row in table.table]
         corrupt[top][images[0]], corrupt[top][images[1]] = (
@@ -207,30 +209,42 @@ class TestSection:
     def test_quotient_multiplication_is_representative_independent(
         self, pipeline, d8xc2_algebra, data
     ):
-        quotient, gens = section_quotient(pipeline)
-        table = quotient.to_table_group(gens)
-        conv = d8xc2_algebra._conv
+        quotient, _, kernel = section_quotient(pipeline)
+        table = quotient.to_table_group()
+        conv = d8xc2_algebra._conv.convolve
+
+        def coset(i):
+            return sorted(conv(quotient.reps[i], k.bits) for k in kernel)
+
         i = data.draw(st.integers(0, quotient.order - 1))
         j = data.draw(st.integers(0, quotient.order - 1))
-        ri = data.draw(st.sampled_from(sorted(quotient.cosets[i])))
-        rj = data.draw(st.sampled_from(sorted(quotient.cosets[j])))
-        assert quotient.coset_of[conv.convolve(ri, rj)] == table.mul(i, j)
+        ri = data.draw(st.sampled_from(coset(i)))
+        rj = data.draw(st.sampled_from(coset(j)))
+        assert conv(ri, rj) in coset(table.mul(i, j))
 
     def test_generator_row_table_matches_representative_products(self, corpus_dir):
-        # the brute-force table: every pair of coset representatives convolved
+        # the brute-force reference: the listed <gens> sorted into cosets, and
+        # every pair of coset representatives convolved
         checked = 0
         paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
         for path in paths:
             result = run_pipeline(load_file(path), use_oracle=False)
             if not result.hypothesis.passed:
                 continue
-            quotient, gens = section_quotient(result)
-            table = quotient.to_table_group(gens)
+            quotient, gens, kernel = section_quotient(result)
             conv = gens[0].algebra._conv.convolve
-            reps = quotient.reps
-            assert table.table == [
-                [quotient.coset_of[conv(ri, rj)] for rj in reps] for ri in reps
+            ambient = bfs_closure(gens)
+            cosets = sorted(
+                {frozenset(conv(u.bits, k.bits) for k in kernel) for u in ambient},
+                key=lambda c: rep_key(min(c, key=rep_key)),
+            )
+            reps = [min(c, key=rep_key) for c in cosets]
+            coset_of = {x: i for i, c in enumerate(cosets) for x in c}
+            assert quotient.reps == reps, path.stem
+            assert quotient.to_table_group().table == [
+                [coset_of[conv(ri, rj)] for rj in reps] for ri in reps
             ], path.stem
+            assert result.section.ambient_order == len(ambient), path.stem
             checked += 1
         assert checked == 24
 

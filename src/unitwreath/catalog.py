@@ -36,16 +36,12 @@ def default_corpus_dir() -> Path:
     return Path(__file__).parent / "corpus"
 
 
-def _iter_files(directory: Path) -> list[Path]:
-    return sorted(directory.rglob("*.pc2"))
-
-
 def load_entries(directory, order_filter: int | None = None) -> list[CatalogEntry]:
     directory = Path(directory)
     if not directory.is_dir():
         raise NotADirectoryError(str(directory))
     entries = []
-    for path in _iter_files(directory):
+    for path in sorted(directory.rglob("*.pc2")):
         entry = CatalogEntry(name=path.stem)
         try:
             group = pcgroup.load_file(path)

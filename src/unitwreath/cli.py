@@ -116,6 +116,13 @@ def _cmd_construct(args) -> int:
     return _run_single(args, use_oracle=False)
 
 
+def _require_entries(census, args) -> None:
+    """A sweep that found no group has verified nothing: an input error."""
+    if not census.entries:
+        of_order = f" of order {args.order}" if args.order is not None else ""
+        raise FileNotFoundError(f"no presentation file{of_order} in {args.path}")
+
+
 def _cmd_verify(args) -> int:
     path = Path(args.path)
     if path.is_dir():
@@ -126,6 +133,7 @@ def _cmd_verify(args) -> int:
             keep_going=args.keep_going,
             cap=args.cap,
         )
+        _require_entries(sweep.census, args)
         if args.json:
             print(_dump(sweep.to_dict()))
         else:
@@ -141,6 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     census = catalog.scan(args.path, order_filter=args.order)
+    _require_entries(census, args)
     print(_dump(census.to_dict()) if args.json else census.to_text())
     return EXIT_INPUT if census.errors else EXIT_PASS
 
@@ -175,6 +184,12 @@ class _Parser(argparse.ArgumentParser):
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _group_order(text: str) -> int:
+    if not text.isdecimal() or int(text) < 2 or int(text) & (int(text) - 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a power of two >= 2")
     return int(text)
 
 
@@ -218,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="enable brute-force isomorphism cross-check "
                    f"(run only when s <= {construct.ORACLE_MAX_S})")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=_group_order, default=None,
                    help="restrict a directory sweep to one group order")
     p.add_argument("--first-failure", dest="keep_going", action="store_false",
                    help="stop a directory sweep at the first failure")
@@ -227,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="census of a corpus directory")
     p.add_argument("path")
     add_common(p)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_group_order, default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("model", help="dump the reference wreath product C2 wr C_(2^s)")
@@ -245,10 +260,8 @@ def main(argv=None) -> int:
         parser.error("--witness applies to one presentation file, not a directory")
     try:
         return args.func(args)
-    except (pcgroup.PcError, oracle.ClosureCapError, construct.NoWitnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, NotADirectoryError) as exc:
+    except (pcgroup.PcError, oracle.ClosureCapError, construct.NoWitnessError,
+            FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,7 +11,7 @@ Every step is recorded as a named boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra, conjugate_unit, unit_order
@@ -194,7 +194,8 @@ def _witness_invariants(group: FiniteGroup, b: int, a: int, derived_order: int):
     s = derived_order.bit_length() - 1
     if group.commutator(b, group.power(a, 1 << s)) != 0:
         return None
-    comms = [group.commutator(b, group.power(a, i)) for i in range(1 << s)]
+    powers = accumulate(repeat(a, (1 << s) - 1), group.multiply, initial=0)  # a^i, i < 2^s
+    comms = [group.commutator(b, a_i) for a_i in powers]
     if len(set(comms)) != 1 << s:
         return None
     return comms

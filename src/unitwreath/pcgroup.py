@@ -272,7 +272,8 @@ class FiniteGroup:
     order, so that collection computes products in a group of order 2^n.
     For orders up to CAYLEY_LIMIT it then materializes the multiplication
     table from the n generator rows (table_from_rows).  Above the limit,
-    products are collected on demand.
+    products are collected on demand.  Each x·gj is collected once and kept
+    in the group's own memo, which every caller shares (order·n entries).
     """
 
     def __init__(self, pres: PcPresentation):
@@ -281,6 +282,7 @@ class FiniteGroup:
         self.name = pres.name
         self.n = pres.n
         self.order = 1 << pres.n
+        self._memo: list[dict[int, int]] = [{} for _ in range(pres.n + 1)]  # [j][x] is x·gj
         self._check_overlaps()
         self.cayley: list[list[int]] | None = None
         self._inverse: list[int] | None = None
@@ -291,6 +293,13 @@ class FiniteGroup:
     # --- collection ---------------------------------------------------
 
     def _times_gen(self, x: int, j: int) -> int:
+        """Normal form of x * gj, collected once per (x, j) and then looked up."""
+        y = self._memo[j].get(x)
+        if y is None:
+            y = self._memo[j][x] = self._collect_step(x, j)
+        return y
+
+    def _collect_step(self, x: int, j: int) -> int:
         """Normal form of x * gj, by collection from the left."""
         n = self.n
         pos = n - j
@@ -315,8 +324,9 @@ class FiniteGroup:
         return tuple(i for i in range(1, n + 1) if (x >> (n - i)) & 1)
 
     def _collect(self, x: int, y: int) -> int:
-        for j in self.word_of_index(y):
-            x = self._times_gen(x, j)
+        while y:  # the first letter of y is g_(n + 1 - y.bit_length())
+            x = self._times_gen(x, self.n + 1 - y.bit_length())
+            y ^= 1 << (y.bit_length() - 1)
         return x
 
     # --- consistency and table ----------------------------------------

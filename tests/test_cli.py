@@ -8,7 +8,10 @@ import pytest
 
 import unitwreath
 from unitwreath import oracle
+from unitwreath.catalog import default_corpus_dir
 from unitwreath.cli import main
+
+O16 = str(default_corpus_dir() / "o16")
 
 
 @pytest.fixture()
@@ -78,12 +81,18 @@ class TestCheck:
         ["verify", "--cap", "abc", "x.pc2"],
         ["verify"],
         ["model", "0"],
+        ["verify", O16, "--order", "0"],
+        ["verify", O16, "--order", "-4"],
+        ["verify", O16, "--order", "7"],
+        ["scan", O16, "--order", "1"],
+        ["scan", O16, "--order", "12"],
     ],
 )
 def test_usage_error_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
+    assert err.startswith("usage:")
     assert "error:" in err and "Traceback" not in err
 
 
@@ -225,6 +234,25 @@ class TestVerify:
         data = json.loads(out)
         assert data["verdict"] == "pass"
         assert len(data["pipelines"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["verify", "{empty}"], None),
+        (["verify", "{empty}", "--json"], None),
+        (["verify", "{o16}", "--order", "32"], 32),
+        (["scan", "{empty}", "--json"], None),
+        (["scan", "{o16}", "--order", "8"], 8),
+    ],
+)
+def test_empty_sweep_exits_3(capsys, tmp_path, argv, order):
+    argv = [arg.format(empty=tmp_path, o16=O16) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and argv[1] in err
+    assert (f"of order {order}" in err) == (order is not None)
 
 
 class TestScan:

@@ -16,6 +16,7 @@ from unitwreath.construct import (
     select_witness,
     verify_base_group,
     verify_wreath,
+    _witness_invariants,
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
 from unitwreath.oracle import bfs_closure
@@ -88,6 +89,18 @@ class TestWitness:
             d8xc2.commutator(w.b, d8xc2.power(w.a, i)) for i in range(1 << w.s)
         }
         assert len(comms) == 1 << w.s
+
+    def test_invariants_list_the_commutators_in_order(self, corpus32):
+        # _witness_invariants steps a^i by one product; compare with power(a, i)
+        for group in corpus32:
+            report = check_hypotheses(group)
+            if not report.passed:
+                continue
+            w = select_witness(group, report)
+            comms = _witness_invariants(group, w.b, w.a, report.derived_order)
+            assert comms == [
+                group.commutator(w.b, group.power(w.a, i)) for i in range(1 << w.s)
+            ]
 
     def test_requires_passing_report(self, d8):
         report = check_hypotheses(d8)

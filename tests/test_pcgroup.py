@@ -195,12 +195,31 @@ def test_associativity_random_order_32(corpus32, data):
     )
 
 
+def collect(pres: PcPresentation, x: int, y: int) -> int:
+    """x·y by collection from the left over a word stack, with no memo.
+
+    Moving gj into the normal form x leaves gj's power word (if x already
+    had gj) and the conjugate gk^gj of every later gk of x to collect.
+    """
+    n = pres.n
+    stack = [j for j in range(n, 0, -1) if y >> (n - j) & 1]  # y's first letter on top
+    while stack:
+        j = stack.pop()
+        pos = n - j
+        later = [k for k in range(j + 1, n + 1) if x >> (n - k) & 1]
+        x = x >> pos << pos
+        word = list(pres.powers.get(j, ())) if x >> pos & 1 else []
+        x ^= 1 << pos
+        for k in later:
+            word.extend(pres.conjugations.get((j, k), (k,)))
+        stack.extend(reversed(word))
+    return x
+
+
 def collected_table(pres: PcPresentation) -> list[list[int]]:
     """Every product by collection, without the loader's consistency proof."""
-    group = FiniteGroup.__new__(FiniteGroup)
-    group.pres, group.n = pres, pres.n
     order = 1 << pres.n
-    return [[group._collect(x, y) for y in range(order)] for x in range(order)]
+    return [[collect(pres, x, y) for y in range(order)] for x in range(order)]
 
 
 def is_group_table(table: list[list[int]]) -> bool:
@@ -265,3 +284,35 @@ def test_overlap_verdict_matches_group_axioms(pres):
 def test_corpus_table_matches_collection(path):
     group = load_file(path)
     assert group.cayley == collected_table(group.pres)
+
+
+D8_ABC = "group D8\ngens a b c\npow a = c\nconj b a = b c\n"
+Q8_ABC = "group Q8\ngens a b c\npow a = c\npow b = c\nconj b a = b c\n"
+
+
+def test_collection_memo_belongs_to_its_group():
+    """D8 and Q8 share generator names and differ only in b^2, so a memo
+    shared between groups would hand one of them the other's products."""
+    for text in (D8_ABC, Q8_ABC, D8_ABC, Q8_ABC):
+        group = load(text)
+        assert group.cayley == collected_table(group.pres)
+
+
+def test_each_product_by_a_generator_is_collected_once(monkeypatch):
+    """Loading D256 x C2 (order 512, n = 9) runs the collection step at
+    most once per (x, j): order·n = 4608 times."""
+    rots = [f"r{i}" for i in range(1, 8)]
+    lines = ["group D256xC2", "gens " + " ".join(rots) + " t c"]
+    lines += [f"pow r{i} = r{i + 1}" for i in range(1, 7)]
+    lines += [f"conj t r{i} = t r{i + 1}" for i in range(1, 7)]
+    step = FiniteGroup._collect_step
+    calls = []
+
+    def counted(self, x, j):
+        calls.append((x, j))
+        return step(self, x, j)
+
+    monkeypatch.setattr(FiniteGroup, "_collect_step", counted)
+    group = load("\n".join(lines) + "\n")
+    assert group.order == 512
+    assert len(calls) == len(set(calls)) <= group.order * group.n

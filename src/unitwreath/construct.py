@@ -11,10 +11,10 @@ Every step is recorded as a named boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, repeat
+from itertools import combinations
 
 from . import oracle
-from .grpalg import AlgebraElement, GroupAlgebra, conjugate_unit, unit_order
+from .grpalg import AlgebraElement, GroupAlgebra, unit_order
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
 from .pcgroup import ClosureCapError, FiniteGroup, closure, table_from_rows
 
@@ -128,7 +128,8 @@ class QuotientGroup:
     cosets are indexed in the order of those representatives, so the
     identity's coset is 0.  The closure runs over representatives: each is
     multiplied on the left by each generator once, and rows[k][i] is the
-    index of gens[k]·reps[i].
+    index of gens[k]·reps[i].  Every member of each coset found maps to its
+    representative, so a product lands on its coset in one lookup.
     """
 
     def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement],
@@ -140,10 +141,16 @@ class QuotientGroup:
             return bits.bit_count(), bits
 
         products = {}
+        rep_of = {t.bits: 1 for t in kernel}  # member to representative; the kernel is 1's coset
 
         def left(x: int, k: int) -> int:
             y = conv(gens[k].bits, x)
-            products[k, x] = rep = min([y] + [conv(y, t) for t in shifts], key=key)
+            rep = rep_of.get(y)
+            if rep is None:  # a new coset: its translates by the kernel, once
+                coset = [y] + [conv(y, t) for t in shifts]
+                rep = min(coset, key=key)
+                rep_of.update(dict.fromkeys(coset, rep))
+            products[k, x] = rep
             return rep
 
         self.reps = sorted(closure(range(len(gens)), left, 1, cap), key=key)
@@ -186,19 +193,31 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     )
 
 
-def _witness_invariants(group: FiniteGroup, b: int, a: int, derived_order: int):
-    """Commutator orbit of (b, a^i) when the pair qualifies, else None."""
-    c = group.commutator(b, a)
-    if group.element_order(c) != derived_order:
+def _commutators(group: FiniteGroup, b: int) -> list[int]:
+    """[(b, x) for x in the group], each b^-1·b^x from b's conjugate table."""
+    return list(map(group.left_multiplier(group.inverse(b)), group.conjugates(b)))
+
+
+def _witness_invariants(group: FiniteGroup, b: int, a: int, derived_order: int,
+                        comms: list[int] | None = None):
+    """Commutator orbit of (b, a^i) when the pair qualifies, else None.
+
+    comms is _commutators(group, b), when the caller has it.
+    """
+    if comms is None:
+        comms = _commutators(group, b)
+    if group.element_order(comms[a]) != derived_order:
         return None
-    s = derived_order.bit_length() - 1
-    if group.commutator(b, group.power(a, 1 << s)) != 0:
+    step = group.left_multiplier(a)
+    powers = [0]  # a^i for i <= 2^s, each one product with a
+    for _ in range(derived_order):
+        powers.append(step(powers[-1]))
+    if comms[powers.pop()] != 0:  # (b, a^(2^s)) = 1
         return None
-    powers = accumulate(repeat(a, (1 << s) - 1), group.multiply, initial=0)  # a^i, i < 2^s
-    comms = [group.commutator(b, a_i) for a_i in powers]
-    if len(set(comms)) != 1 << s:
+    orbit = [comms[a_i] for a_i in powers]
+    if len(set(orbit)) != derived_order:
         return None
-    return comms
+    return orbit
 
 
 def select_witness(
@@ -233,8 +252,9 @@ def select_witness(
                        k=group.element_order(a).bit_length() - 1)
 
     for b in group.elements():
+        comms = _commutators(group, b)
         for a in group.elements():
-            if _witness_invariants(group, b, a, report.derived_order) is not None:
+            if _witness_invariants(group, b, a, report.derived_order, comms) is not None:
                 return Witness(
                     a=a,
                     b=b,
@@ -249,30 +269,38 @@ def select_witness(
 
 
 def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
-    """The conjugates h^(a^i) of h = 1 + b(1+z), with closed-form checks."""
-    m = 1 << w.s
+    """The conjugates h^(a^i) of h = 1 + b(1+z), with closed-form checks.
+
+    Conjugation by a permutes the group, so it carries the support of each
+    unit onto that of the next.  Unit i must be 1 + b·(b, a^i)·(1+z), where
+    b·(b, a^i) = b^(a^i) is read from b's conjugate table.
+    """
+    group = algebra.group
+    by_a = group.conjugation_map(w.a)
+    conj_b = group.conjugates(w.b)
+    times_z = group.right_multiplier(w.z)
+    step = group.left_multiplier(w.a)  # a^(i+1) = a·a^i
+
+    def closed_form(a_i: int) -> AlgebraElement:
+        bc = conj_b[a_i]
+        return algebra.from_support((0, bc, times_z(bc)))
+
     units = []
-    u = _closed_form_unit(algebra, w, 0)
-    for i in range(m):
-        expected = _closed_form_unit(algebra, w, i)
+    a_i = 0
+    u = closed_form(a_i)
+    for i in range(1 << w.s):
+        expected = closed_form(a_i)
         if u != expected:
             raise ConstructionError(
                 f"orbit closed form fails at i={i}: got {u.words()}, "
                 f"expected {expected.words()}"
             )
         units.append(u)
-        u = conjugate_unit(u, w.a)
+        u = algebra.from_support(map(by_a.__getitem__, u.support()))
+        a_i = step(a_i)
     if u != units[0]:
         raise ConstructionError("orbit does not wrap around under conjugation by a")
     return BaseOrbit(units=tuple(units))
-
-
-def _closed_form_unit(algebra: GroupAlgebra, w: Witness, i: int) -> AlgebraElement:
-    """1 + b * (b, a^i) * (1 + z) as an explicit 3-element support."""
-    group = algebra.group
-    comm = group.commutator(w.b, group.power(w.a, i))
-    bc = group.multiply(w.b, comm)
-    return algebra.from_support((0, bc, group.multiply(bc, w.z)))
 
 
 def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):

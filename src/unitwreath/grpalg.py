@@ -2,10 +2,10 @@
 
 An algebra element is a subset of the group, stored as an int bitset over
 the group's canonical element index.  Addition is symmetric difference,
-multiplication is convolution through the Cayley table.  Odd-support
-elements are exactly the normalized units: the augmentation ideal of a
-2-group algebra in characteristic 2 is nilpotent, so they are invertible
-with 2-power order.
+multiplication is convolution through the group's left-multiplication
+rows.  Odd-support elements are exactly the normalized units: the
+augmentation ideal of a 2-group algebra in characteristic 2 is nilpotent,
+so they are invertible with 2-power order.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ class GroupAlgebra:
     """KG for K = GF(2); caches the convolution kernel for its group."""
 
     def __init__(self, group: FiniteGroup):
-        if group.cayley is None:
+        if group.rows is None:
             raise TableLimitError(
                 f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
                 "largest order whose Cayley table the group algebra can use"
             )
         self.group = group
         self.order = group.order
-        self._conv = kernels.Convolver(group.cayley)
+        self._conv = kernels.Convolver(group.rows)
 
     # --- constructors -----------------------------------------------------
 

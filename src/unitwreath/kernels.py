@@ -1,8 +1,9 @@
 """GF(2) convolution kernel.
 
 Algebra elements are int bitsets over the group's element index.  The
-product toggles one output bit per (support, support) pair via the Cayley
-table, which is the hot loop of every unit-group closure.
+product toggles one output bit per (support, support) pair via the left
+operand's multiplication rows, which is the hot loop of every unit-group
+closure.
 """
 
 from __future__ import annotations
@@ -20,10 +21,14 @@ def bit_indices(bits: int) -> list[int]:
 
 
 class Convolver:
-    """GF(2) convolution over a fixed multiplication table."""
+    """GF(2) convolution over left-multiplication rows, rows[x][y] = x·y.
 
-    def __init__(self, table: list[list[int]]):
-        self._rows = table  # shared with the group, never mutated
+    The rows are a full table, or a group's RowStore, which builds the row of
+    each support element of the left operand the first time it is read.
+    """
+
+    def __init__(self, rows):
+        self._rows = rows  # shared with the group, never mutated here
 
     def convolve(self, ubits: int, vbits: int) -> int:
         v_idx = bit_indices(vbits)

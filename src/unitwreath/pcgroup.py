@@ -7,12 +7,19 @@ every element has a unique normal form g1^e1 ... gn^en with ei in {0,1}.
 Elements are handled as canonical indices: the integer whose binary digits
 are the exponent vector, g1 most significant.  The identity is 0 and the
 integer order on indices is the lexicographic order on exponent vectors.
+
+Products are collected from the presentation, each x·gj once per group.  Up
+to CAYLEY_LIMIT a group also keeps left-multiplication rows, x ↦ [x·y], and
+builds each row only when something first reads it; the full Cayley table
+is built only on request.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 
 
 class PcError(Exception):
@@ -39,9 +46,9 @@ class ClosureCapError(Exception):
     """A closure grew past its size cap."""
 
 
-# Materialize the full multiplication table up to this order.  Consistency
-# is proved by the overlap test at every order, before any table is built;
-# above the limit products are collected on demand.
+# Keep left-multiplication rows up to this order, each built on first use.
+# Consistency is proved by the overlap test at every order, before any row
+# is built; above the limit products are collected on demand.
 CAYLEY_LIMIT = 512
 
 WORD_SEP = "·"  # interpunct, used when printing element words
@@ -253,6 +260,22 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
     return table
 
 
+class RowStore(dict):
+    """Left-multiplication rows by element, store[x][y] = x·y, built on first use.
+
+    It starts with the identity's and the generators' rows.  The row of
+    x = gl·w, where gl is the leading letter of x, is gl's row composed with
+    w's, x·y = gl·(w·y): the rule of table_from_rows.
+    """
+
+    def __missing__(self, x: int) -> list[int]:
+        if not 0 < x < len(self[0]):
+            raise IndexError(f"element index {x} out of range")
+        lead = 1 << (x.bit_length() - 1)
+        row = self[x] = list(map(self[lead].__getitem__, self[x ^ lead]))
+        return row
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup as a sorted tuple of element indices."""
@@ -267,13 +290,15 @@ class Subgroup:
 class FiniteGroup:
     """A finite 2-group realized by collection over a pc presentation.
 
-    Immutable after construction; all operations are pure.  Construction
-    first proves the presentation consistent by the overlap test, at every
-    order, so that collection computes products in a group of order 2^n.
-    For orders up to CAYLEY_LIMIT it then materializes the multiplication
-    table from the n generator rows (table_from_rows).  Above the limit,
-    products are collected on demand.  Each x·gj is collected once and kept
-    in the group's own memo, which every caller shares (order·n entries).
+    All operations are pure.  Construction first proves the presentation
+    consistent by the overlap test, at every order, so that collection
+    computes products in a group of order 2^n.  Each x·gj is collected once
+    and kept in the group's own memo, which every caller shares (order·n
+    entries), and so is each inverse.  For orders up to CAYLEY_LIMIT the
+    group then collects the n generator rows into `rows`, a RowStore that
+    builds any other element's row when it is first read; `multiply` and the
+    group algebra's kernel read that one store.  Above the limit `rows` is
+    None and products are collected on demand.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -283,12 +308,11 @@ class FiniteGroup:
         self.n = pres.n
         self.order = 1 << pres.n
         self._memo: list[dict[int, int]] = [{} for _ in range(pres.n + 1)]  # [j][x] is x·gj
+        self._inverses = {0: 0}
         self._check_overlaps()
-        self.cayley: list[list[int]] | None = None
-        self._inverse: list[int] | None = None
+        self.rows: RowStore | None = None
         if self.order <= CAYLEY_LIMIT:
-            self.cayley = self._build_cayley()
-            self._inverse = [row.index(0) for row in self.cayley]
+            self.rows = self._generator_rows()
 
     # --- collection ---------------------------------------------------
 
@@ -359,17 +383,24 @@ class FiniteGroup:
                             f"{self.word_str(right)}"
                         )
 
-    def _build_cayley(self) -> list[list[int]]:
-        """The n generator rows by collection (needs consistency), then the rest."""
+    def _generator_rows(self) -> RowStore:
+        """The identity's and the n generators' rows, by collection (needs consistency)."""
         order, n = self.order, self.n
-        rows = []
+        rows = RowStore({0: list(range(order))})
         for k in range(1, n + 1):
             row = [1 << (n - k)] * order
-            for y in range(1, order):
-                j = n - (y & -y).bit_length() + 1
-                row[y] = self._times_gen(row[y & (y - 1)], j)
-            rows.append(row)
-        return table_from_rows(rows, 0)
+            for j in range(1, n + 1):  # y = w·gj, w on letters before j: gk·y = (gk·w)·gj
+                bit = 1 << (n - j)
+                row[bit::2 * bit] = [self._times_gen(x, j) for x in row[::2 * bit]]
+            rows[1 << (n - k)] = row
+        return rows
+
+    @property
+    def cayley(self) -> list[list[int]] | None:
+        """The full multiplication table, every row built; None above CAYLEY_LIMIT."""
+        if self.rows is None:
+            return None
+        return [self.rows[x] for x in self.elements()]
 
     # --- core operations ------------------------------------------------
 
@@ -381,14 +412,41 @@ class FiniteGroup:
         return range(self.order)
 
     def multiply(self, x: int, y: int) -> int:
-        if self.cayley is not None:
-            return self.cayley[x][y]
-        return self._collect(x, y)
+        if self.rows is None:
+            return self._collect(x, y)
+        return self.rows[x][y]
+
+    def left_multiplier(self, x: int):
+        """The map y ↦ x·y: a lookup in x's row, or collection above the limit."""
+        if self.rows is None:
+            return partial(self._collect, x)
+        return self.rows[x].__getitem__
+
+    def right_multiplier(self, c: int):
+        """The map y ↦ y·c: a lookup in c's right column, or collection above the limit.
+
+        y = gl·w gives y·c = gl·(w·c), so the column doubles over the leading
+        letter, one row lookup per entry.
+        """
+        if self.rows is None:
+            return lambda y: self._collect(y, c)
+        col = [c]
+        for k in range(self.n):  # the generator 1 << k is g_(n - k)
+            col += list(map(self.rows[1 << k].__getitem__, col))  # a bare map over col never ends
+        return col.__getitem__
 
     def inverse(self, x: int) -> int:
-        if self._inverse is not None:
-            return self._inverse[x]
-        return self.power(x, self.element_order(x) - 1)
+        """x^-1 by the last letter: x = w·gj gives x^-1 = gj^-1·w^-1 (memoized)."""
+        inv = self._inverses.get(x)
+        if inv is None:
+            gj = x & -x
+            if x == gj:  # gj^-1 = gj·(gj^2)^-1, and gj^2 has only letters after gj
+                square = self._times_gen(gj, self.n + 1 - gj.bit_length())
+                inv = self.multiply(gj, self.inverse(square))
+            else:
+                inv = self.multiply(self.inverse(gj), self.inverse(x ^ gj))
+            self._inverses[x] = inv
+        return inv
 
     def conjugate(self, x: int, g: int) -> int:
         """g^-1 x g."""
@@ -396,9 +454,26 @@ class FiniteGroup:
 
     def commutator(self, x: int, y: int) -> int:
         """(x, y) = x^-1 y^-1 x y."""
-        xy = self.multiply(x, y)
-        yx = self.multiply(y, x)
-        return self.multiply(self.inverse(yx), xy)
+        return self.multiply(self.inverse(x), self.multiply(self.inverse(y), self.multiply(x, y)))
+
+    def conjugates(self, b: int) -> list[int]:
+        """[b^x for x in elements()], where b^x = x^-1·b·x.
+
+        Doubles over the letters of x: x = w·gl with w on letters before l
+        gives b^x = gl^-1·(b^w·gl), one product by gl and one by gl^-1.
+        """
+        n = self.n
+        conj = [b] * self.order
+        for l in range(1, n + 1):
+            bit = 1 << (n - l)
+            by_inverse = self.left_multiplier(self.inverse(bit))
+            conj[bit::2 * bit] = [by_inverse(self._times_gen(y, l)) for y in conj[::2 * bit]]
+        return conj
+
+    def conjugation_map(self, g: int) -> list[int]:
+        """[x^g for x in elements()], each g^-1·(x·g)."""
+        right = map(self.right_multiplier(g), self.elements())
+        return list(map(self.left_multiplier(self.inverse(g)), right))
 
     def power(self, x: int, m: int) -> int:
         acc = 0
@@ -421,18 +496,24 @@ class FiniteGroup:
     # --- subgroups -------------------------------------------------------
 
     def subgroup_closure(self, gens) -> Subgroup:
-        seen = closure(gens, self.multiply, self.identity)
+        right = [self.right_multiplier(g) for g in gens]
+        seen = closure(range(len(right)), lambda x, k: right[k](x), self.identity)
         return Subgroup(elements=tuple(sorted(seen)))
 
     def derived_subgroup(self) -> Subgroup:
         gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
-        comms = sorted({self.commutator(x, y) for x in gens for y in gens} - {0})
+        # (y, x) = (x, y)^-1, so the pairs x < y generate the same subgroup
+        comms = sorted({self.commutator(x, y) for x, y in combinations(gens, 2)} - {0})
         return self.subgroup_closure(comms)
 
     def center(self) -> Subgroup:
-        gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
-        central = [x for x in self.elements()
-                   if all(self.multiply(x, g) == self.multiply(g, x) for g in gens)]
+        """The elements x with g·x = x·g for every generator g."""
+        central = self.elements()
+        for j in range(1, self.n + 1):
+            g = 1 << (self.n - j)
+            left = map(self.left_multiplier(g), central)
+            right = map(self.right_multiplier(g), central)
+            central = [x for x, gx, xg in zip(central, left, right) if gx == xg]
         return Subgroup(elements=tuple(central))
 
     def is_abelian(self) -> bool:

@@ -33,3 +33,21 @@ def d8xc2_algebra(d8xc2):
 @pytest.fixture(scope="session")
 def d8_algebra(d8):
     return GroupAlgebra(d8)
+
+
+@pytest.fixture(scope="session")
+def dihedral_times_c2():
+    """The pc presentation text of D_(2^n) x C2 (order 2^(n+1)), given n.
+
+    Rotations r1..r(n-1) with r(i+1) = ri^2, a reflection t with
+    t^(ri) = t·ri^2, and a central c.
+    """
+
+    def text(n: int) -> str:
+        rots = [f"r{i}" for i in range(1, n)]
+        lines = [f"group D{1 << n}xC2", "gens " + " ".join(rots + ["t", "c"])]
+        lines += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(n - 2)]
+        lines += [f"conj t {rots[i]} = t {rots[i + 1]}" for i in range(n - 2)]
+        return "\n".join(lines) + "\n"
+
+    return text

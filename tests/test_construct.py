@@ -9,6 +9,7 @@ from unitwreath.construct import (
     ConstructionError,
     NoWitnessError,
     QuotientGroup,
+    Witness,
     build_orbit,
     build_section,
     check_hypotheses,
@@ -155,6 +156,55 @@ class TestOrbit:
         orbit = pipeline.orbit
         back = conjugate_unit(orbit.units[-1], pipeline.witness.a)
         assert back == orbit.units[0]
+
+    def test_a_noncentral_z_breaks_the_closed_form(self, pipeline, d8xc2, d8xc2_algebra):
+        # with z = b·z, which does not commute with a, unit 1 is not 1 + b(b,a)(1+z)
+        w = pipeline.witness
+        bad = Witness(a=w.a, b=w.b, z=d8xc2.parse_word("b*z"), s=w.s, k=w.k)
+        with pytest.raises(ConstructionError, match="closed form fails at i=1"):
+            build_orbit(d8xc2_algebra, bad)
+
+    def test_a_short_orbit_does_not_wrap(self, pipeline, d8xc2_algebra):
+        w = pipeline.witness
+        bad = Witness(a=w.a, b=w.b, z=w.z, s=0, k=w.k)
+        with pytest.raises(ConstructionError, match="does not wrap"):
+            build_orbit(d8xc2_algebra, bad)
+
+
+def assert_orbit_is_iterated_conjugation(group):
+    """build_orbit permutes supports; grpalg.conjugate_unit convolves."""
+    report = check_hypotheses(group)
+    w = select_witness(group, report)
+    units = build_orbit(GroupAlgebra(group), w).units
+    u = units[0]
+    for unit in units:
+        assert unit == u, group.name
+        u = conjugate_unit(u, w.a)
+    assert u == units[0]
+
+
+def test_orbit_equals_iterated_conjugate_unit_on_the_corpus(corpus_dir):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    groups = [load_file(p) for p in paths]
+    passing = [g for g in groups if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    for group in passing:
+        assert_orbit_is_iterated_conjugation(group)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_orbit_equals_iterated_conjugate_unit_on_the_ladder(n, dihedral_times_c2):
+    assert_orbit_is_iterated_conjugation(load(dihedral_times_c2(n)))
+
+
+def test_the_ladder_top_reads_few_rows(dihedral_times_c2):
+    """D256 x C2 (order 512) through hypotheses, witness and orbit builds 39
+    rows with the generators' 9 and the identity's; the full table has 512."""
+    group = load(dihedral_times_c2(8))
+    report = check_hypotheses(group)
+    build_orbit(GroupAlgebra(group), select_witness(group, report))
+    assert group.order == 512
+    assert len(group.rows) < group.order // 2
 
 
 class TestBaseGroup:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -316,3 +318,56 @@ def test_each_product_by_a_generator_is_collected_once(monkeypatch):
     group = load("\n".join(lines) + "\n")
     assert group.order == 512
     assert len(calls) == len(set(calls)) <= group.order * group.n
+
+
+LADDER = range(4, 9)  # D_(2^n) x C2 for n = 4..8: orders 32 to 512
+
+
+def equivalence_cases():
+    """Every o16 and o32 file, then the ladder's n."""
+    corpus = default_corpus_dir()
+    paths = sorted(corpus.glob("o16/*.pc2")) + sorted(corpus.glob("o32/*.pc2"))
+    return [pytest.param(p, id=p.stem) for p in paths] + [
+        pytest.param(n, id=f"D{1 << n}xC2") for n in LADDER
+    ]
+
+
+def sample(group, size: int = 12) -> list[int]:
+    """Every element of a small group; else the identity, the generators and a few more."""
+    if group.order <= 32:
+        return list(group.elements())
+    gens = [1 << k for k in range(group.n)]
+    return [0] + gens + random.Random(group.order).sample(range(group.order), size)
+
+
+@pytest.mark.parametrize("case", equivalence_cases())
+def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_times_c2):
+    """Everything built on demand or by doubling equals collected products."""
+    # a fresh group: no row beyond the generators' is built yet
+    group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
+    everything = group.elements()
+    mul = group._collect
+    for x in everything:
+        assert mul(x, group.inverse(x)) == 0
+    for x in sample(group):
+        inv = group.inverse(x)
+        assert group.rows[x] == [mul(x, y) for y in everything]
+        assert list(map(group.right_multiplier(x), everything)) == [mul(y, x) for y in everything]
+        assert group.conjugates(x) == [mul(mul(group.inverse(y), x), y) for y in everything]
+        assert group.conjugation_map(x) == [mul(mul(inv, y), x) for y in everything]
+
+
+def test_inverses_above_the_table_limit(dihedral_times_c2):
+    """D512 x C2 (order 1024) keeps no rows; inverses and tables are collected."""
+    group = load(dihedral_times_c2(9))
+    assert group.order == 1024 and group.rows is None and group.cayley is None
+    xs = random.Random(1).sample(range(group.order), 64)
+    for x in xs:
+        assert group.multiply(x, group.inverse(x)) == 0
+        assert group.multiply(group.inverse(x), x) == 0
+    for b in xs[:2]:
+        conj = group.conjugates(b)
+        right = group.right_multiplier(b)
+        for y in xs:
+            assert conj[y] == group.multiply(group.multiply(group.inverse(y), b), y)
+            assert right(y) == group.multiply(y, b)

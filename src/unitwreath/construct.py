@@ -251,7 +251,10 @@ def select_witness(
         return Witness(a=a, b=b, z=z, s=s,
                        k=group.element_order(a).bit_length() - 1)
 
+    gens = [1 << k for k in range(group.n)]
     for b in group.elements():
+        if all(group.multiply(g, b) == group.multiply(b, g) for g in gens):
+            continue  # a central b has (b, a) = 1 for every a
         comms = _commutators(group, b)
         for a in group.elements():
             if _witness_invariants(group, b, a, report.derived_order, comms) is not None:
@@ -480,8 +483,7 @@ def run_pipeline(
     if not hypothesis.passed:
         result.error = f"hypotheses fail: {hypothesis.failure_reason}"
         return result
-    # first, so that a group above the table limit stops here and not after
-    # a witness search that collects every product one by one
+    # first, so that a group above the table limit stops before the witness search
     algebra = GroupAlgebra(group)
     try:
         witness = select_witness(group, hypothesis, override=override)

@@ -8,17 +8,18 @@ Elements are handled as canonical indices: the integer whose binary digits
 are the exponent vector, g1 most significant.  The identity is 0 and the
 integer order on indices is the lexicographic order on exponent vectors.
 
-Products are collected from the presentation, each x·gj once per group.  Up
-to CAYLEY_LIMIT a group also keeps left-multiplication rows, x ↦ [x·y], and
-builds each row only when something first reads it; the full Cayley table
-is built only on request.
+Products are read off one table per generator, right[j][x] = x·gj, built
+at load layer by layer: G_j = <gj, ..., gn> extends G_(j+1) by gj, and
+x = H·L with H on letters <= j and L in G_(j+1) gives x·gj = H·gj·L^gj
+(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Up to CAYLEY_LIMIT
+rows x ↦ [x·y] are kept too, each built when first read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 
 
@@ -47,8 +48,7 @@ class ClosureCapError(Exception):
 
 
 # Keep left-multiplication rows up to this order, each built on first use.
-# Consistency is proved by the overlap test at every order, before any row
-# is built; above the limit products are collected on demand.
+# The tables x·gj are built and proved consistent at every order.
 CAYLEY_LIMIT = 512
 
 WORD_SEP = "·"  # interpunct, used when printing element words
@@ -260,19 +260,44 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
     return table
 
 
+def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
+    """[f(y) for y in G_(j+1)], where f(1) = start and f(w·gk) = f(w)·word(k).
+
+    G_(j+1) is the indices below 2^(n-j); f doubles over y's last letter,
+    reading right[l][v] = v·gl.  The default word gives f(y) = start·y.
+    """
+    n = len(right) - 1
+    out = [start] * (1 << (n - j))
+    for k in range(j + 1, n + 1):
+        bit = 1 << (n - k)
+        seg = out[::2 * bit]
+        for l in word(k):
+            seg = list(map(right[l].__getitem__, seg))
+        out[bit::2 * bit] = seg
+    return out
+
+
 class RowStore(dict):
     """Left-multiplication rows by element, store[x][y] = x·y, built on first use.
 
-    It starts with the identity's and the generators' rows.  The row of
-    x = gl·w, where gl is the leading letter of x, is gl's row composed with
-    w's, x·y = gl·(w·y): the rule of table_from_rows.
+    It starts with the identity's row.  A generator's row is doubled over
+    the group's tables; the row of any other x = gl·w, where gl is the
+    leading letter of x, is gl's row composed with w's, x·y = gl·(w·y): the
+    rule of table_from_rows.
     """
+
+    def __init__(self, right: list):
+        super().__init__({0: list(range(len(right[-1])))})
+        self.right = right  # right[j][x] = x·gj
 
     def __missing__(self, x: int) -> list[int]:
         if not 0 < x < len(self[0]):
             raise IndexError(f"element index {x} out of range")
         lead = 1 << (x.bit_length() - 1)
-        row = self[x] = list(map(self[lead].__getitem__, self[x ^ lead]))
+        if x == lead:
+            row = self[x] = doubled(self.right, 0, x)
+        else:
+            row = self[x] = list(map(self[lead].__getitem__, self[x ^ lead]))
         return row
 
 
@@ -288,17 +313,14 @@ class Subgroup:
 
 
 class FiniteGroup:
-    """A finite 2-group realized by collection over a pc presentation.
+    """A finite 2-group realized over a pc presentation by its tables x·gj.
 
-    All operations are pure.  Construction first proves the presentation
-    consistent by the overlap test, at every order, so that collection
-    computes products in a group of order 2^n.  Each x·gj is collected once
-    and kept in the group's own memo, which every caller shares (order·n
-    entries), and so is each inverse.  For orders up to CAYLEY_LIMIT the
-    group then collects the n generator rows into `rows`, a RowStore that
-    builds any other element's row when it is first read; `multiply` and the
-    group algebra's kernel read that one store.  Above the limit `rows` is
-    None and products are collected on demand.
+    All operations are pure.  Construction builds `right`, right[j][x] = x·gj
+    (n·order entries), then proves the presentation consistent by the
+    overlap test at every order, so that the tables hold the products of a
+    group of order 2^n.  Up to CAYLEY_LIMIT, `rows` is a RowStore, which
+    `multiply` and the group algebra's kernel read; above it `rows` is None
+    and x·y reads y's letters off the tables.  Inverses are memoized.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -307,40 +329,30 @@ class FiniteGroup:
         self.name = pres.name
         self.n = pres.n
         self.order = 1 << pres.n
-        self._memo: list[dict[int, int]] = [{} for _ in range(pres.n + 1)]  # [j][x] is x·gj
         self._inverses = {0: 0}
+        self.right = self._tables()
         self._check_overlaps()
-        self.rows: RowStore | None = None
-        if self.order <= CAYLEY_LIMIT:
-            self.rows = self._generator_rows()
+        self.rows = RowStore(self.right) if self.order <= CAYLEY_LIMIT else None
 
-    # --- collection ---------------------------------------------------
+    # --- tables ---------------------------------------------------------
 
-    def _times_gen(self, x: int, j: int) -> int:
-        """Normal form of x * gj, collected once per (x, j) and then looked up."""
-        y = self._memo[j].get(x)
-        if y is None:
-            y = self._memo[j][x] = self._collect_step(x, j)
-        return y
+    def _tables(self) -> list:
+        """[None, x·g1 table, ..., x·gn table], built for j = n down to 1.
 
-    def _collect_step(self, x: int, j: int) -> int:
-        """Normal form of x * gj, by collection from the left."""
-        n = self.n
-        pos = n - j
-        low = x & ((1 << pos) - 1)
-        high = x >> pos << pos
-        word: list[int] = []
-        if (high >> pos) & 1:
-            new = high ^ (1 << pos)
-            word.extend(self.pres.powers.get(j, ()))
-        else:
-            new = high | (1 << pos)
-        for k in range(j + 1, n + 1):
-            if (low >> (n - k)) & 1:
-                word.extend(self.pres.conjugations.get((j, k), (k,)))
-        for g in word:
-            new = self._times_gen(new, g)
-        return new
+        x·gj = H·gj·L^gj (see the module docstring).  L ↦ L^gj doubles over
+        L's last letter through the conjugation words gk^gj and the tables
+        for letters > j.  If H = H'·gj, then H·gj = H'·Pj with Pj = gj^2 in
+        G_(j+1), and Pj's row on G_(j+1) doubles the same way.
+        """
+        n, pres = self.n, self.pres
+        right: list = [None] * (n + 1)
+        for j in range(n, 0, -1):
+            gj = 1 << (n - j)
+            conj = doubled(right, j, 0, lambda k: pres.conjugations.get((j, k), (k,)))
+            square = reduce(lambda v, l: right[l][v], pres.powers.get(j, ()), 0)
+            block = [gj + c for c in conj] + list(map(doubled(right, j, square).__getitem__, conj))
+            right[j] = [h + v for h in range(0, self.order, 2 * gj) for v in block]
+        return right
 
     def word_of_index(self, x: int) -> tuple[int, ...]:
         """Generator indices of the normal form of x, in increasing order."""
@@ -349,7 +361,7 @@ class FiniteGroup:
 
     def _collect(self, x: int, y: int) -> int:
         while y:  # the first letter of y is g_(n + 1 - y.bit_length())
-            x = self._times_gen(x, self.n + 1 - y.bit_length())
+            x = self.right[self.n + 1 - y.bit_length()][x]
             y ^= 1 << (y.bit_length() - 1)
         return x
 
@@ -362,38 +374,30 @@ class FiniteGroup:
         1994, polycyclic-groups chapter; Holt, Eick and O'Brien 2005, ch. 8) are
         (gk gj) gi = gk (gj gi) for k > j > i, gj^2 gi = gj (gj gi),
         (gj gi) gi = gj gi^2 and gi^2 gi = gi gi^2: all k >= j >= i.  When
-        both sides of each collect to the same normal form, the
-        presentation defines a group of order 2^n and collection computes
-        its products.
+        both sides of each give the same normal form, the presentation
+        defines a group of order 2^n and the tables hold its products.
+
+        Every table entry is reached from x·gi by rewriting steps of the
+        presentation (gj gj -> Pj, gk gj -> gj gk^gj), which terminate, so
+        equal normal forms on an overlap join its critical pair; with all of
+        them joined the rewriting is confluent by Newman's lemma.  In a
+        consistent presentation every rewriting ends in the one normal form.
         """
-        n = self.n
+        n, tables = self.n, self.right
         gens = [0] + [1 << (n - j) for j in range(1, n + 1)]
-        names = self.pres.gens
         for k in range(1, n + 1):
             for j in range(1, k + 1):
-                gk_gj = self._times_gen(gens[k], j)
+                gk_gj = tables[j][gens[k]]
                 for i in range(1, j + 1):
-                    left = self._times_gen(gk_gj, i)
-                    right = self._collect(gens[k], self._times_gen(gens[j], i))
+                    left = tables[i][gk_gj]
+                    right = self._collect(gens[k], tables[i][gens[j]])
                     if left != right:
-                        gk, gj, gi = names[k - 1], names[j - 1], names[i - 1]
+                        gk, gj, gi = (self.pres.gens[t - 1] for t in (k, j, i))
                         raise ConsistencyError(
                             f"{self.name}: overlap ({gk}·{gj})·{gi} collects to "
                             f"{self.word_str(left)} but {gk}·({gj}·{gi}) to "
                             f"{self.word_str(right)}"
                         )
-
-    def _generator_rows(self) -> RowStore:
-        """The identity's and the n generators' rows, by collection (needs consistency)."""
-        order, n = self.order, self.n
-        rows = RowStore({0: list(range(order))})
-        for k in range(1, n + 1):
-            row = [1 << (n - k)] * order
-            for j in range(1, n + 1):  # y = w·gj, w on letters before j: gk·y = (gk·w)·gj
-                bit = 1 << (n - j)
-                row[bit::2 * bit] = [self._times_gen(x, j) for x in row[::2 * bit]]
-            rows[1 << (n - k)] = row
-        return rows
 
     @property
     def cayley(self) -> list[list[int]] | None:
@@ -441,7 +445,7 @@ class FiniteGroup:
         if inv is None:
             gj = x & -x
             if x == gj:  # gj^-1 = gj·(gj^2)^-1, and gj^2 has only letters after gj
-                square = self._times_gen(gj, self.n + 1 - gj.bit_length())
+                square = self.right[self.n + 1 - gj.bit_length()][gj]
                 inv = self.multiply(gj, self.inverse(square))
             else:
                 inv = self.multiply(self.inverse(gj), self.inverse(x ^ gj))
@@ -457,17 +461,12 @@ class FiniteGroup:
         return self.multiply(self.inverse(x), self.multiply(self.inverse(y), self.multiply(x, y)))
 
     def conjugates(self, b: int) -> list[int]:
-        """[b^x for x in elements()], where b^x = x^-1·b·x.
-
-        Doubles over the letters of x: x = w·gl with w on letters before l
-        gives b^x = gl^-1·(b^w·gl), one product by gl and one by gl^-1.
-        """
-        n = self.n
+        """[b^x for every x], doubled over x's last letter: b^(w·gl) = gl^-1·(b^w·gl)."""
         conj = [b] * self.order
-        for l in range(1, n + 1):
-            bit = 1 << (n - l)
-            by_inverse = self.left_multiplier(self.inverse(bit))
-            conj[bit::2 * bit] = [by_inverse(self._times_gen(y, l)) for y in conj[::2 * bit]]
+        for l in range(1, self.n + 1):
+            bit = 1 << (self.n - l)
+            by_gl = map(self.right[l].__getitem__, conj[::2 * bit])
+            conj[bit::2 * bit] = list(map(self.left_multiplier(self.inverse(bit)), by_gl))
         return conj
 
     def conjugation_map(self, g: int) -> list[int]:
@@ -507,13 +506,12 @@ class FiniteGroup:
         return self.subgroup_closure(comms)
 
     def center(self) -> Subgroup:
-        """The elements x with g·x = x·g for every generator g."""
+        """The elements x with g·x = x·g for every generator g, read off g's row and table."""
         central = self.elements()
         for j in range(1, self.n + 1):
             g = 1 << (self.n - j)
-            left = map(self.left_multiplier(g), central)
-            right = map(self.right_multiplier(g), central)
-            central = [x for x, gx, xg in zip(central, left, right) if gx == xg]
+            row = doubled(self.right, 0, g) if self.rows is None else self.rows[g]
+            central = [x for x in central if row[x] == self.right[j][x]]
         return Subgroup(elements=tuple(central))
 
     def is_abelian(self) -> bool:
@@ -548,7 +546,7 @@ class FiniteGroup:
                 continue
             if tok not in names:
                 raise ParseError(f"unknown generator {tok!r} in word {text!r}")
-            acc = self._times_gen(acc, names[tok])
+            acc = self.right[names[tok]][acc]
         return acc
 
 

@@ -103,6 +103,17 @@ class TestWitness:
                 group.commutator(w.b, group.power(w.a, i)) for i in range(1 << w.s)
             ]
 
+    @pytest.mark.parametrize("top", ["z", "1"])
+    def test_invariants_require_b_to_commute_with_a_to_the_2_to_the_s(self, d8xc2, top):
+        # a hand-built table (b, x): (b, a) = c of order 2 = |G'| and the
+        # orbit [1, c] is distinct, so (b, a^2) = (b, c) alone decides
+        a, b, c = (d8xc2.parse_word(w) for w in "abc")
+        assert d8xc2.power(a, 2) == c
+        comms = [0] * d8xc2.order
+        comms[a], comms[c] = c, d8xc2.parse_word(top)
+        expected = [0, c] if top == "1" else None
+        assert _witness_invariants(d8xc2, b, a, 2, comms) == expected
+
     def test_requires_passing_report(self, d8):
         report = check_hypotheses(d8)
         with pytest.raises(ValueError):

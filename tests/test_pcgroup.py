@@ -11,7 +11,6 @@ from unitwreath.catalog import default_corpus_dir
 from unitwreath.pcgroup import (
     ConsistencyError,
     ConstraintError,
-    FiniteGroup,
     ParseError,
     PcPresentation,
     load,
@@ -293,31 +292,11 @@ Q8_ABC = "group Q8\ngens a b c\npow a = c\npow b = c\nconj b a = b c\n"
 
 
 def test_collection_memo_belongs_to_its_group():
-    """D8 and Q8 share generator names and differ only in b^2, so a memo
+    """D8 and Q8 share generator names and differ only in b^2, so tables
     shared between groups would hand one of them the other's products."""
     for text in (D8_ABC, Q8_ABC, D8_ABC, Q8_ABC):
         group = load(text)
         assert group.cayley == collected_table(group.pres)
-
-
-def test_each_product_by_a_generator_is_collected_once(monkeypatch):
-    """Loading D256 x C2 (order 512, n = 9) runs the collection step at
-    most once per (x, j): order·n = 4608 times."""
-    rots = [f"r{i}" for i in range(1, 8)]
-    lines = ["group D256xC2", "gens " + " ".join(rots) + " t c"]
-    lines += [f"pow r{i} = r{i + 1}" for i in range(1, 7)]
-    lines += [f"conj t r{i} = t r{i + 1}" for i in range(1, 7)]
-    step = FiniteGroup._collect_step
-    calls = []
-
-    def counted(self, x, j):
-        calls.append((x, j))
-        return step(self, x, j)
-
-    monkeypatch.setattr(FiniteGroup, "_collect_step", counted)
-    group = load("\n".join(lines) + "\n")
-    assert group.order == 512
-    assert len(calls) == len(set(calls)) <= group.order * group.n
 
 
 LADDER = range(4, 9)  # D_(2^n) x C2 for n = 4..8: orders 32 to 512
@@ -338,6 +317,23 @@ def sample(group, size: int = 12) -> list[int]:
         return list(group.elements())
     gens = [1 << k for k in range(group.n)]
     return [0] + gens + random.Random(group.order).sample(range(group.order), size)
+
+
+@pytest.mark.parametrize("case", equivalence_cases() + [pytest.param(9, id="D512xC2")])
+def test_tables_match_collection(case, dihedral_times_c2):
+    """right[j][x] = x·gj equals the reference collector's product, on every
+    x up to order 512 and on sampled x above; loading builds no row but the
+    identity's."""
+    group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
+    if group.order > pcgroup.CAYLEY_LIMIT:
+        assert group.rows is None
+        xs = sample(group, 64)
+    else:
+        assert list(group.rows) == [0]
+        xs = group.elements()
+    for j in range(1, group.n + 1):
+        gen = 1 << (group.n - j)
+        assert [group.right[j][x] for x in xs] == [collect(group.pres, x, gen) for x in xs]
 
 
 @pytest.mark.parametrize("case", equivalence_cases())

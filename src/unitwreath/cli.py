@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: check, construct, verify, scan, model.  Exit codes:
+Subcommands: check, verify, scan, model.  Exit codes:
 0 success/pass, 1 hypothesis failure, 2 verification failure, 3 input or
 usage error, or a resource limit (the table limit or the closure cap).
 """
@@ -98,22 +98,18 @@ def _cmd_check(args) -> int:
     return EXIT_PASS if report.passed else EXIT_HYPOTHESIS
 
 
-def _run_single(args, use_oracle: bool) -> int:
+def _verify_file(args) -> int:
     group = pcgroup.load_file(args.path)
     override = None
     if args.witness:
         override = _parse_witness(group, args.witness)
     result = construct.run_pipeline(
-        group, use_oracle=use_oracle, override=override, cap=args.cap
+        group, use_oracle=args.oracle, override=override, cap=args.cap
     )
     print(_dump(result.to_dict()) if args.json else _pipeline_text(result))
     if not result.hypothesis.passed:
         return EXIT_HYPOTHESIS
     return EXIT_PASS if result.verdict else EXIT_VERIFY
-
-
-def _cmd_construct(args) -> int:
-    return _run_single(args, use_oracle=False)
 
 
 def _require_entries(census, args) -> None:
@@ -144,7 +140,7 @@ def _cmd_verify(args) -> int:
         if sweep.census.errors:
             return EXIT_INPUT
         return EXIT_PASS if sweep.verdict else EXIT_VERIFY
-    return _run_single(args, use_oracle=args.oracle)
+    return _verify_file(args)
 
 
 def _cmd_scan(args) -> int:
@@ -203,33 +199,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, witness=False, cap=False):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if witness:
-            p.add_argument(
-                "--witness",
-                metavar="a=<word>,b=<word>,z=<word>",
-                help="override witness selection (words like b*c; 1 = identity)",
-            )
-        if cap:
-            p.add_argument(
-                "--cap", type=_positive_int, default=oracle.DEFAULT_CAP,
-                help="size cap for unit-group closures",
-            )
 
     p = sub.add_parser("check", help="hypothesis check on one presentation file")
     p.add_argument("path")
     add_common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("construct", help="build witness, orbit, and section")
-    p.add_argument("path")
-    add_common(p, witness=True, cap=True)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("verify", help="construct, on a file or a directory; --oracle cross-checks")
+    p = sub.add_parser(
+        "verify", help="witness, orbit and section, on a file or a directory"
+    )
     p.add_argument("path", help="presentation file or corpus directory")
-    add_common(p, witness=True, cap=True)
+    add_common(p)
+    p.add_argument(
+        "--witness",
+        metavar="a=<word>,b=<word>,z=<word>",
+        help="override witness selection (words like b*c; 1 = identity)",
+    )
+    p.add_argument(
+        "--cap", type=_positive_int, default=oracle.DEFAULT_CAP,
+        help="size cap for unit-group closures",
+    )
     p.add_argument("--oracle", action="store_true",
                    help="enable brute-force isomorphism cross-check "
                    f"(run only when s <= {construct.ORACLE_MAX_S})")

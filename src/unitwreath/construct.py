@@ -198,14 +198,12 @@ def _commutators(group: FiniteGroup, b: int) -> list[int]:
     return list(map(group.left_multiplier(group.inverse(b)), group.conjugates(b)))
 
 
-def _witness_invariants(group: FiniteGroup, b: int, a: int, derived_order: int,
-                        comms: list[int] | None = None):
+def _witness_invariants(group: FiniteGroup, comms: list[int], a: int,
+                        derived_order: int):
     """Commutator orbit of (b, a^i) when the pair qualifies, else None.
 
-    comms is _commutators(group, b), when the caller has it.
+    comms is b's commutator table, _commutators(group, b).
     """
-    if comms is None:
-        comms = _commutators(group, b)
     if group.element_order(comms[a]) != derived_order:
         return None
     step = group.left_multiplier(a)
@@ -234,7 +232,11 @@ def select_witness(
     """
     if not report.passed:
         raise ValueError("select_witness requires a hypothesis-passing group")
-    s = report.derived_order.bit_length() - 1
+    derived_order = report.derived_order
+    s = derived_order.bit_length() - 1
+
+    def qualifies(comms: list[int], a: int) -> bool:
+        return _witness_invariants(group, comms, a, derived_order) is not None
 
     if override is not None:
         a, b, z = override
@@ -243,32 +245,27 @@ def select_witness(
                 f"override z = {group.word_str(z)} is not a central involution "
                 "outside the derived subgroup"
             )
-        if _witness_invariants(group, b, a, report.derived_order) is None:
+        if not qualifies(_commutators(group, b), a):
             raise NoWitnessError(
                 f"override pair (b, a) = ({group.word_str(b)}, {group.word_str(a)}) "
                 "violates the witness side conditions"
             )
-        return Witness(a=a, b=b, z=z, s=s,
-                       k=group.element_order(a).bit_length() - 1)
-
-    gens = [1 << k for k in range(group.n)]
-    for b in group.elements():
-        if all(group.multiply(g, b) == group.multiply(b, g) for g in gens):
-            continue  # a central b has (b, a) = 1 for every a
-        comms = _commutators(group, b)
-        for a in group.elements():
-            if _witness_invariants(group, b, a, report.derived_order, comms) is not None:
-                return Witness(
-                    a=a,
-                    b=b,
-                    z=report.candidates_z[0],
-                    s=s,
-                    k=group.element_order(a).bit_length() - 1,
-                )
-    raise NoWitnessError(
-        f"{group.name}: no (b, a) pair generates the derived subgroup with "
-        f"(b, a^(2^{s})) = 1 and 2^{s} distinct commutators"
-    )
+    else:
+        z = report.candidates_z[0]
+        gens = [1 << k for k in range(group.n)]
+        for b in group.elements():
+            if all(group.multiply(g, b) == group.multiply(b, g) for g in gens):
+                continue  # a central b has (b, a) = 1 for every a
+            comms = _commutators(group, b)
+            a = next((a for a in group.elements() if qualifies(comms, a)), None)
+            if a is not None:
+                break
+        else:
+            raise NoWitnessError(
+                f"{group.name}: no (b, a) pair generates the derived subgroup with "
+                f"(b, a^(2^{s})) = 1 and 2^{s} distinct commutators"
+            )
+    return Witness(a=a, b=b, z=z, s=s, k=group.element_order(a).bit_length() - 1)
 
 
 def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
@@ -354,7 +351,8 @@ def build_section(
     orbit: BaseOrbit,
     use_oracle: bool = True,
     cap: int = oracle.DEFAULT_CAP,
-    base_checks: dict[str, bool] | None = None,
+    *,
+    base_checks: dict[str, bool],
 ) -> SectionReport:
     """Quotient <X, a> / <a^(2^s)> and its wreath-product verification."""
     group = algebra.group
@@ -362,8 +360,8 @@ def build_section(
     a_pow = algebra.embed(group.power(w.a, 1 << w.s))
     kernel = bfs_closure([a_pow], cap=cap)
 
-    checks = dict(base_checks or {})
-    checks.setdefault("orbit-closed-form", True)  # build_orbit already enforced it
+    checks = dict(base_checks)
+    checks["orbit-closed-form"] = True  # build_orbit already enforced it
     # the kernel <a^m> is central in <gens> exactly when a^m commutes with gens
     checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
@@ -475,7 +473,9 @@ def run_pipeline(
 
     A hypothesis report already computed for this group may be passed in.
     Resource limits are not verdicts: TableLimitError and ClosureCapError
-    propagate to the caller.
+    propagate to the caller.  The table limit and the cap's bound on
+    <X, a> are tested before the witness search; the closures are capped
+    as they run.
     """
     if hypothesis is None:
         hypothesis = check_hypotheses(group)
@@ -483,18 +483,20 @@ def run_pipeline(
     if not hypothesis.passed:
         result.error = f"hypotheses fail: {hypothesis.failure_reason}"
         return result
-    # first, so that a group above the table limit stops before the witness search
+    # the table limit and the cap, both known before any search: the orbit
+    # has m = |G'| units, so |X| = 2^m, and a is not in X (support 1,
+    # against 1 + 2|S| >= 3)
     algebra = GroupAlgebra(group)
+    m = hypothesis.derived_order
+    if 2 << m > cap:
+        raise ClosureCapError(
+            f"ambient group <X, a> of order at least 2|X| = {2 << m} exceeds cap {cap}"
+        )
     try:
         witness = select_witness(group, hypothesis, override=override)
         result.witness = witness
         orbit = build_orbit(algebra, witness)
         result.orbit = orbit
-        m = len(orbit.units)
-        if 2 << m > cap:  # a is not in X: support 1, against 1 + 2|S| >= 3
-            raise ClosureCapError(
-                f"ambient group <X, a> of order at least 2|X| = {2 << m} exceeds cap {cap}"
-            )
         base, base_checks = verify_base_group(orbit, cap=cap)
         result.section = build_section(
             algebra, witness, base, orbit,

@@ -96,13 +96,7 @@ class AlgebraElement:
         return hash(self.bits)
 
     def support(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(kernels.bit_indices(self.bits))
 
     def support_size(self) -> int:
         return self.bits.bit_count()

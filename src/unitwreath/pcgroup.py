@@ -559,4 +559,10 @@ def load_file(path) -> FiniteGroup:
     from pathlib import Path
 
     p = Path(path)
-    return load(p.read_text(encoding="utf-8"), name_hint=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise PcError(f"{p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PcError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return load(text, name_hint=str(p))

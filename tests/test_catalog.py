@@ -33,6 +33,16 @@ class TestScan:
         assert census.errors[0].name == "bad"
         assert census.total(16) == 1
 
+    def test_unreadable_files_reported_and_excluded(self, tmp_path, corpus_dir):
+        good = (corpus_dir / "o16" / "D8xC2.pc2").read_text()
+        (tmp_path / "good.pc2").write_text(good)
+        (tmp_path / "dir.pc2").mkdir()
+        (tmp_path / "latin1.pc2").write_bytes(b"group \xe9\ngens a\n")
+        census = catalog.scan(tmp_path)
+        assert [e.name for e in census.errors] == ["dir", "latin1"]
+        assert "latin1.pc2: not UTF-8 text" in census.errors[1].error
+        assert census.total(16) == 1
+
     def test_order_filter(self, corpus_dir):
         census = catalog.scan(corpus_dir, order_filter=8)
         assert census.orders() == [8]

@@ -76,6 +76,34 @@ class TestCheck:
 
 
 @pytest.mark.parametrize(
+    "command, kind", [("check", "directory"), ("check", "not-utf8"), ("verify", "not-utf8")]
+)
+def test_unreadable_file_exits_3(capsys, tmp_path, command, kind):
+    path = tmp_path / "x.pc2"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"group X\xff\ngens a b\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and str(path) in err
+
+
+def test_sweep_records_unreadable_files(capsys, tmp_path, d8xc2_path):
+    (tmp_path / "D8xC2.pc2").write_text(Path(d8xc2_path).read_text())
+    (tmp_path / "dir.pc2").mkdir()
+    (tmp_path / "latin1.pc2").write_bytes(b"group \xe9\ngens a\n")
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--json")
+    assert code == 3
+    data = json.loads(out)
+    assert [p["group"] for p in data["pipelines"]] == ["D8xC2"]
+    errors = data["census"]["errors"]
+    assert [e["name"] for e in errors] == ["dir", "latin1"]
+    assert all(str(tmp_path) in e["error"] for e in errors)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--cap", "abc", "x.pc2"],
@@ -86,6 +114,7 @@ class TestCheck:
         ["verify", O16, "--order", "7"],
         ["scan", O16, "--order", "1"],
         ["scan", O16, "--order", "12"],
+        ["construct", "x.pc2"],  # verify without --oracle covers it
     ],
 )
 def test_usage_error_exits_3(capsys, argv):
@@ -118,7 +147,7 @@ class TestLargeGroups:
         assert out == ""
         assert err.count("\n") == 1 and "overlap (b·a)·a" in err
 
-    @pytest.mark.parametrize("command", ["verify", "construct"])
+    @pytest.mark.parametrize("command", ["verify"])
     def test_above_table_limit_exits_3(self, capsys, tmp_path, command):
         path = tmp_path / "big.pc2"
         path.write_text(self.CONSISTENT_1024)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitwreath import construct
 from unitwreath.cli import _dump
 from unitwreath.construct import (
     REASON_ABELIAN,
@@ -17,11 +18,12 @@ from unitwreath.construct import (
     select_witness,
     verify_base_group,
     verify_wreath,
+    _commutators,
     _witness_invariants,
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
 from unitwreath.oracle import bfs_closure
-from unitwreath.pcgroup import load, load_file
+from unitwreath.pcgroup import ClosureCapError, load, load_file
 
 
 def section_quotient(result):
@@ -98,7 +100,9 @@ class TestWitness:
             if not report.passed:
                 continue
             w = select_witness(group, report)
-            comms = _witness_invariants(group, w.b, w.a, report.derived_order)
+            comms = _witness_invariants(
+                group, _commutators(group, w.b), w.a, report.derived_order
+            )
             assert comms == [
                 group.commutator(w.b, group.power(w.a, i)) for i in range(1 << w.s)
             ]
@@ -112,7 +116,7 @@ class TestWitness:
         comms = [0] * d8xc2.order
         comms[a], comms[c] = c, d8xc2.parse_word(top)
         expected = [0, c] if top == "1" else None
-        assert _witness_invariants(d8xc2, b, a, 2, comms) == expected
+        assert _witness_invariants(d8xc2, comms, a, 2) == expected
 
     def test_requires_passing_report(self, d8):
         report = check_hypotheses(d8)
@@ -339,3 +343,12 @@ class TestPipeline:
         result = run_pipeline(d8xc2, use_oracle=False)
         assert result.verdict
         assert "oracle-isomorphism" not in result.section.checks
+
+    def test_cap_is_tested_before_the_witness_search(self, monkeypatch, dihedral_times_c2):
+        # D64 x C2: |G'| = 16, so <X, a> has at least 2^17 elements
+        def search(*args, **kwargs):
+            raise AssertionError("searched for a witness")
+
+        monkeypatch.setattr(construct, "select_witness", search)
+        with pytest.raises(ClosureCapError, match=r"2\|X\| = 131072 exceeds cap 65536"):
+            run_pipeline(load(dihedral_times_c2(6)))

@@ -11,6 +11,7 @@ Every step is recorded as a named boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from . import oracle
@@ -199,23 +200,24 @@ def _commutators(group: FiniteGroup, b: int) -> list[int]:
 
 
 def _witness_invariants(group: FiniteGroup, comms: list[int], a: int,
-                        derived_order: int):
+                        derived_order: int, order_of=None):
     """Commutator orbit of (b, a^i) when the pair qualifies, else None.
 
-    comms is b's commutator table, _commutators(group, b).
+    comms is b's commutator table, _commutators(group, b).  order_of, if
+    given, stands in for group.element_order, such as a memo of it.
     """
-    if group.element_order(comms[a]) != derived_order:
+    if (order_of or group.element_order)(comms[a]) != derived_order:
         return None
-    step = group.left_multiplier(a)
-    powers = [0]  # a^i for i <= 2^s, each one product with a
+    orbit = {}  # (b, a^i) for i < 2^s in order, so that a repeat ends the test at once
+    a_i = 0  # a^i, each one product with a; a's row is not kept
     for _ in range(derived_order):
-        powers.append(step(powers[-1]))
-    if comms[powers.pop()] != 0:  # (b, a^(2^s)) = 1
+        if comms[a_i] in orbit:
+            return None
+        orbit[comms[a_i]] = None
+        a_i = group.multiply(a_i, a)
+    if comms[a_i] != 0:  # (b, a^(2^s)) = 1
         return None
-    orbit = [comms[a_i] for a_i in powers]
-    if len(set(orbit)) != derived_order:
-        return None
-    return orbit
+    return list(orbit)
 
 
 def select_witness(
@@ -234,9 +236,10 @@ def select_witness(
         raise ValueError("select_witness requires a hypothesis-passing group")
     derived_order = report.derived_order
     s = derived_order.bit_length() - 1
+    order_of = cache(group.element_order)  # commutators lie in G': m values
 
     def qualifies(comms: list[int], a: int) -> bool:
-        return _witness_invariants(group, comms, a, derived_order) is not None
+        return _witness_invariants(group, comms, a, derived_order, order_of) is not None
 
     if override is not None:
         a, b, z = override

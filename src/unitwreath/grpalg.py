@@ -3,22 +3,27 @@
 An algebra element is a subset of the group, stored as an int bitset over
 the group's canonical element index.  Addition is symmetric difference,
 multiplication is convolution through the group's left-multiplication
-rows.  Odd-support elements are exactly the normalized units: the
-augmentation ideal of a 2-group algebra in characteristic 2 is nilpotent,
-so they are invertible with 2-power order.
+rows, so the algebra is built only up to CAYLEY_LIMIT.  Odd-support
+elements are exactly the normalized units: the augmentation ideal of a
+2-group algebra in characteristic 2 is nilpotent, so they are invertible
+with 2-power order.
 """
 
 from __future__ import annotations
 
 from . import kernels
-from .pcgroup import CAYLEY_LIMIT, FiniteGroup, TableLimitError
+from .pcgroup import FiniteGroup, TableLimitError
+
+# The largest group order whose algebra is built: convolution reads a row
+# for every support element, and the enumerating checks can read them all.
+CAYLEY_LIMIT = 512
 
 
 class GroupAlgebra:
     """KG for K = GF(2); caches the convolution kernel for its group."""
 
     def __init__(self, group: FiniteGroup):
-        if group.rows is None:
+        if group.order > CAYLEY_LIMIT:
             raise TableLimitError(
                 f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
                 "largest order whose Cayley table the group algebra can use"

@@ -23,8 +23,10 @@ def bit_indices(bits: int) -> list[int]:
 class Convolver:
     """GF(2) convolution over left-multiplication rows, rows[x][y] = x·y.
 
-    The rows are a full table, or a group's RowStore, which builds the row of
-    each support element of the left operand the first time it is read.
+    The rows are a full table, or the RowStore of a group (the one a
+    GroupAlgebra passes, up to grpalg.CAYLEY_LIMIT), which builds the row of
+    each support element of the left operand the first time it is read and
+    keeps it.
     """
 
     def __init__(self, rows):

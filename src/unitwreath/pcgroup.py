@@ -11,15 +11,15 @@ integer order on indices is the lexicographic order on exponent vectors.
 Products are read off one table per generator, right[j][x] = x·gj, built
 at load layer by layer: G_j = <gj, ..., gn> extends G_(j+1) by gj, and
 x = H·L with H on letters <= j and L in G_(j+1) gives x·gj = H·gj·L^gj
-(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Up to CAYLEY_LIMIT
-rows x ↦ [x·y] are kept too, each built when first read.
+(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Rows x ↦ [x·y]
+are kept too, each built when first read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 
 
@@ -46,10 +46,6 @@ class TableLimitError(PcError):
 class ClosureCapError(Exception):
     """A closure grew past its size cap."""
 
-
-# Keep left-multiplication rows up to this order, each built on first use.
-# The tables x·gj are built and proved consistent at every order.
-CAYLEY_LIMIT = 512
 
 WORD_SEP = "·"  # interpunct, used when printing element words
 
@@ -317,10 +313,11 @@ class FiniteGroup:
 
     All operations are pure.  Construction builds `right`, right[j][x] = x·gj
     (n·order entries), then proves the presentation consistent by the
-    overlap test at every order, so that the tables hold the products of a
-    group of order 2^n.  Up to CAYLEY_LIMIT, `rows` is a RowStore, which
-    `multiply` and the group algebra's kernel read; above it `rows` is None
-    and x·y reads y's letters off the tables.  Inverses are memoized.
+    overlap test, so that the tables hold the products of a group of order
+    2^n.  `multiply` reads y's letters off the tables.  `rows` is a
+    RowStore holding the identity's row; the multipliers, the center and
+    the group algebra's kernel read it, and each row they ask for is built
+    once and kept.  Inverses are memoized.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -332,7 +329,7 @@ class FiniteGroup:
         self._inverses = {0: 0}
         self.right = self._tables()
         self._check_overlaps()
-        self.rows = RowStore(self.right) if self.order <= CAYLEY_LIMIT else None
+        self.rows = RowStore(self.right)
 
     # --- tables ---------------------------------------------------------
 
@@ -359,12 +356,6 @@ class FiniteGroup:
         n = self.n
         return tuple(i for i in range(1, n + 1) if (x >> (n - i)) & 1)
 
-    def _collect(self, x: int, y: int) -> int:
-        while y:  # the first letter of y is g_(n + 1 - y.bit_length())
-            x = self.right[self.n + 1 - y.bit_length()][x]
-            y ^= 1 << (y.bit_length() - 1)
-        return x
-
     # --- consistency and table ----------------------------------------
 
     def _check_overlaps(self) -> None:
@@ -390,7 +381,7 @@ class FiniteGroup:
                 gk_gj = tables[j][gens[k]]
                 for i in range(1, j + 1):
                     left = tables[i][gk_gj]
-                    right = self._collect(gens[k], tables[i][gens[j]])
+                    right = self.multiply(gens[k], tables[i][gens[j]])
                     if left != right:
                         gk, gj, gi = (self.pres.gens[t - 1] for t in (k, j, i))
                         raise ConsistencyError(
@@ -400,10 +391,8 @@ class FiniteGroup:
                         )
 
     @property
-    def cayley(self) -> list[list[int]] | None:
-        """The full multiplication table, every row built; None above CAYLEY_LIMIT."""
-        if self.rows is None:
-            return None
+    def cayley(self) -> list[list[int]]:
+        """The full multiplication table: every row built and kept."""
         return [self.rows[x] for x in self.elements()]
 
     # --- core operations ------------------------------------------------
@@ -416,24 +405,24 @@ class FiniteGroup:
         return range(self.order)
 
     def multiply(self, x: int, y: int) -> int:
-        if self.rows is None:
-            return self._collect(x, y)
-        return self.rows[x][y]
+        """x·y, collected: x times each letter of y, read off the tables."""
+        right, top = self.right, self.n + 1
+        while y:  # the first letter of y is g_(n + 1 - y.bit_length())
+            k = y.bit_length()
+            x = right[top - k][x]
+            y ^= 1 << (k - 1)
+        return x
 
     def left_multiplier(self, x: int):
-        """The map y ↦ x·y: a lookup in x's row, or collection above the limit."""
-        if self.rows is None:
-            return partial(self._collect, x)
+        """The map y ↦ x·y: a lookup in x's row, which is built once and kept."""
         return self.rows[x].__getitem__
 
     def right_multiplier(self, c: int):
-        """The map y ↦ y·c: a lookup in c's right column, or collection above the limit.
+        """The map y ↦ y·c: a lookup in c's right column.
 
         y = gl·w gives y·c = gl·(w·c), so the column doubles over the leading
-        letter, one row lookup per entry.
+        letter, one lookup in a generator's row per entry.
         """
-        if self.rows is None:
-            return lambda y: self._collect(y, c)
         col = [c]
         for k in range(self.n):  # the generator 1 << k is g_(n - k)
             col += list(map(self.rows[1 << k].__getitem__, col))  # a bare map over col never ends
@@ -509,8 +498,7 @@ class FiniteGroup:
         """The elements x with g·x = x·g for every generator g, read off g's row and table."""
         central = self.elements()
         for j in range(1, self.n + 1):
-            g = 1 << (self.n - j)
-            row = doubled(self.right, 0, g) if self.rows is None else self.rows[g]
+            row = self.rows[1 << (self.n - j)]
             central = [x for x in central if row[x] == self.right[j][x]]
         return Subgroup(elements=tuple(central))
 

@@ -126,7 +126,8 @@ def test_usage_error_exits_3(capsys, argv):
 
 
 class TestLargeGroups:
-    """Orders above CAYLEY_LIMIT: consistency is still proved, tables are not built."""
+    """Orders above the group algebra's table limit (512): consistency is
+    still proved, and `verify` refuses the group when it builds the algebra."""
 
     # the inconsistent order-8 presentation (b^a = b^2 = 1) with 9 free generators
     INCONSISTENT_2048 = (
@@ -201,11 +202,15 @@ class TestVerify:
         assert err.count("\n") == 1 and "cap 32" in err
 
     def test_cap_bounds_the_base_group(self, tmp_path):
-        # D128 x C2 (s = 5): X would have 2^32 elements
+        # D128 x C2 (s = 5): X would have 2^32 elements, so <X, a> at least
+        # 2^33, which the pipeline refuses before the witness search; the
+        # base group's own refusal is tested in test_construct
         proc = run_subprocess("verify", dihedral_times_c2(tmp_path, 7), "--json")
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1 and "cap 65536" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith(
+            "ambient group <X, a> of order at least 2|X| = 8589934592 exceeds cap 65536\n"
+        )
 
     def test_cap_bounds_the_ambient_group_before_closing_it(self, tmp_path):
         # D64 x C2 (s = 4): |X| = 2^16 fits the cap, but <X, a> has at least

@@ -213,13 +213,36 @@ def test_orbit_equals_iterated_conjugate_unit_on_the_ladder(n, dihedral_times_c2
 
 
 def test_the_ladder_top_reads_few_rows(dihedral_times_c2):
-    """D256 x C2 (order 512) through hypotheses, witness and orbit builds 39
-    rows with the generators' 9 and the identity's; the full table has 512."""
+    """D256 x C2 (order 512) through hypotheses, witness and orbit builds 16
+    rows, the identity's and the generators' 9 among them; the full table
+    has 512."""
     group = load(dihedral_times_c2(8))
     report = check_hypotheses(group)
     build_orbit(GroupAlgebra(group), select_witness(group, report))
     assert group.order == 512
     assert len(group.rows) < group.order // 2
+
+
+def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_times_c2):
+    """Stepping a^i by products keeps no row of a candidate a: o32_45 holds
+    fewer rows than elements after the search, and D512 x C2 (order 1024,
+    n = 10) at most 2n after hypotheses and the search."""
+    group = load_file(corpus_dir / "o32" / "o32_45.pc2")
+    select_witness(group, check_hypotheses(group))
+    assert len(group.rows) < group.order
+    group = load(dihedral_times_c2(9))
+    select_witness(group, check_hypotheses(group))
+    assert len(group.rows) <= 2 * group.n
+
+
+def test_the_witness_above_the_table_limit(dihedral_times_c2):
+    """D32768 x C2 (order 65,536, s = 13) gets the ladder's witness."""
+    group = load(dihedral_times_c2(15))
+    report = check_hypotheses(group)
+    w = select_witness(group, report)
+    assert group.order == 65536 and report.passed
+    assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
+    assert w.s == 13
 
 
 class TestBaseGroup:
@@ -245,6 +268,13 @@ class TestBaseGroup:
         bad = type(pipeline.orbit)(units=(h, h))
         with pytest.raises(ConstructionError):
             verify_base_group(bad)
+
+    def test_cap_bounds_the_base_group(self, pipeline):
+        # m = 2 orbit units: X has 2^2 elements, which a cap of 4 admits
+        base, _ = verify_base_group(pipeline.orbit, cap=4)
+        assert len(base) == 4
+        with pytest.raises(ClosureCapError, match=r"^base group X of order 2\^2 exceeds cap 3$"):
+            verify_base_group(pipeline.orbit, cap=3)
 
 
 class TestSection:

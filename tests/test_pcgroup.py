@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from unitwreath import pcgroup
 from unitwreath.catalog import default_corpus_dir
+from unitwreath.grpalg import GroupAlgebra
 from unitwreath.pcgroup import (
     ConsistencyError,
     ConstraintError,
     ParseError,
     PcPresentation,
+    TableLimitError,
     load,
     load_file,
     serialize_presentation,
@@ -103,7 +105,7 @@ class TestArithmetic:
     def test_cayley_matches_collection(self, d8xc2):
         for x in d8xc2.elements():
             for y in d8xc2.elements():
-                assert d8xc2.cayley[x][y] == d8xc2._collect(x, y)
+                assert d8xc2.cayley[x][y] == d8xc2.multiply(x, y)
 
     def test_orders(self, d8xc2):
         assert d8xc2.element_order(0) == 1
@@ -323,26 +325,22 @@ def sample(group, size: int = 12) -> list[int]:
 def test_tables_match_collection(case, dihedral_times_c2):
     """right[j][x] = x·gj equals the reference collector's product, on every
     x up to order 512 and on sampled x above; loading builds no row but the
-    identity's."""
+    identity's, at every order."""
     group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
-    if group.order > pcgroup.CAYLEY_LIMIT:
-        assert group.rows is None
-        xs = sample(group, 64)
-    else:
-        assert list(group.rows) == [0]
-        xs = group.elements()
+    assert list(group.rows) == [0]
+    xs = group.elements() if group.order <= 512 else sample(group, 64)
     for j in range(1, group.n + 1):
         gen = 1 << (group.n - j)
         assert [group.right[j][x] for x in xs] == [collect(group.pres, x, gen) for x in xs]
 
 
-@pytest.mark.parametrize("case", equivalence_cases())
+@pytest.mark.parametrize("case", equivalence_cases() + [pytest.param(9, id="D512xC2")])
 def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_times_c2):
     """Everything built on demand or by doubling equals collected products."""
-    # a fresh group: no row beyond the generators' is built yet
+    # a fresh group: no row but the identity's is built yet
     group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
     everything = group.elements()
-    mul = group._collect
+    mul = group.multiply
     for x in everything:
         assert mul(x, group.inverse(x)) == 0
     for x in sample(group):
@@ -354,9 +352,12 @@ def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_ti
 
 
 def test_inverses_above_the_table_limit(dihedral_times_c2):
-    """D512 x C2 (order 1024) keeps no rows; inverses and tables are collected."""
+    """D512 x C2 (order 1024) is above the group algebra's table limit, and
+    its inverses, conjugate tables and right multipliers still hold."""
     group = load(dihedral_times_c2(9))
-    assert group.order == 1024 and group.rows is None and group.cayley is None
+    assert group.order == 1024
+    with pytest.raises(TableLimitError, match="order 1024 is above 512"):
+        GroupAlgebra(group)
     xs = random.Random(1).sample(range(group.order), 64)
     for x in xs:
         assert group.multiply(x, group.inverse(x)) == 0

@@ -17,7 +17,7 @@ from itertools import combinations
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra, unit_order
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
-from .pcgroup import ClosureCapError, FiniteGroup, closure, table_from_rows
+from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled, table_from_rows
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -195,18 +195,18 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
 
 
 def _commutators(group: FiniteGroup, b: int) -> list[int]:
-    """[(b, x) for x in the group], each b^-1·b^x from b's conjugate table."""
-    return list(map(group.left_multiplier(group.inverse(b)), group.conjugates(b)))
+    """[(b, x) for x in the group], each b^-1·b^x; b^-1's row is doubled, not kept."""
+    return list(map(doubled(group.right, 0, group.inverse(b)).__getitem__, group.conjugates(b)))
 
 
 def _witness_invariants(group: FiniteGroup, comms: list[int], a: int,
-                        derived_order: int, order_of=None):
+                        derived_order: int, order_of):
     """Commutator orbit of (b, a^i) when the pair qualifies, else None.
 
-    comms is b's commutator table, _commutators(group, b).  order_of, if
-    given, stands in for group.element_order, such as a memo of it.
+    comms is b's commutator table, _commutators(group, b), and order_of
+    gives element orders, group.element_order or a memo of it.
     """
-    if (order_of or group.element_order)(comms[a]) != derived_order:
+    if order_of(comms[a]) != derived_order:
         return None
     orbit = {}  # (b, a^i) for i < 2^s in order, so that a repeat ends the test at once
     a_i = 0  # a^i, each one product with a; a's row is not kept

@@ -19,15 +19,20 @@ from .pcgroup import FiniteGroup, TableLimitError
 CAYLEY_LIMIT = 512
 
 
+def check_table_limit(group: FiniteGroup) -> None:
+    """Raise TableLimitError when group's order is above CAYLEY_LIMIT."""
+    if group.order > CAYLEY_LIMIT:
+        raise TableLimitError(
+            f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
+            "largest order whose Cayley table the group algebra can use"
+        )
+
+
 class GroupAlgebra:
     """KG for K = GF(2); caches the convolution kernel for its group."""
 
     def __init__(self, group: FiniteGroup):
-        if group.order > CAYLEY_LIMIT:
-            raise TableLimitError(
-                f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
-                "largest order whose Cayley table the group algebra can use"
-            )
+        check_table_limit(group)
         self.group = group
         self.order = group.order
         self._conv = kernels.Convolver(group.rows)

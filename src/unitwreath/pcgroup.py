@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 
 class PcError(Exception):
@@ -351,11 +352,6 @@ class FiniteGroup:
             right[j] = [h + v for h in range(0, self.order, 2 * gj) for v in block]
         return right
 
-    def word_of_index(self, x: int) -> tuple[int, ...]:
-        """Generator indices of the normal form of x, in increasing order."""
-        n = self.n
-        return tuple(i for i in range(1, n + 1) if (x >> (n - i)) & 1)
-
     # --- consistency and table ----------------------------------------
 
     def _check_overlaps(self) -> None:
@@ -392,7 +388,9 @@ class FiniteGroup:
 
     @property
     def cayley(self) -> list[list[int]]:
-        """The full multiplication table: every row built and kept."""
+        """Every row, built and kept; TableLimitError above the algebra's limit."""
+        from .grpalg import check_table_limit  # grpalg imports this module
+        check_table_limit(self)
         return [self.rows[x] for x in self.elements()]
 
     # --- core operations ------------------------------------------------
@@ -520,7 +518,7 @@ class FiniteGroup:
     def word_str(self, x: int) -> str:
         if x == 0:
             return "1"
-        return WORD_SEP.join(self.pres.gens[i - 1] for i in self.word_of_index(x))
+        return WORD_SEP.join(g for i, g in enumerate(self.pres.gens) if x >> (self.n - 1 - i) & 1)
 
     def parse_word(self, text: str) -> int:
         """Element from a word like "b*c" or "b·c"; "1" is the identity."""
@@ -544,8 +542,6 @@ def load(text: str, name_hint: str = "<input>") -> FiniteGroup:
 
 
 def load_file(path) -> FiniteGroup:
-    from pathlib import Path
-
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")

@@ -101,7 +101,8 @@ class TestWitness:
                 continue
             w = select_witness(group, report)
             comms = _witness_invariants(
-                group, _commutators(group, w.b), w.a, report.derived_order
+                group, _commutators(group, w.b), w.a, report.derived_order,
+                group.element_order,
             )
             assert comms == [
                 group.commutator(w.b, group.power(w.a, i)) for i in range(1 << w.s)
@@ -116,7 +117,7 @@ class TestWitness:
         comms = [0] * d8xc2.order
         comms[a], comms[c] = c, d8xc2.parse_word(top)
         expected = [0, c] if top == "1" else None
-        assert _witness_invariants(d8xc2, comms, a, 2) == expected
+        assert _witness_invariants(d8xc2, comms, a, 2, d8xc2.element_order) == expected
 
     def test_requires_passing_report(self, d8):
         report = check_hypotheses(d8)
@@ -232,6 +233,21 @@ def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_time
     assert len(group.rows) < group.order
     group = load(dihedral_times_c2(9))
     select_witness(group, check_hypotheses(group))
+    assert len(group.rows) <= 2 * group.n
+
+
+def test_the_witness_search_keeps_no_row_per_candidate_b():
+    """D512 x C2 with the reflection t first (order 1024, n = 10): every
+    rotation comes before t in the scan, so the search tries 511 non-central
+    b before b = t, and still keeps at most 2n rows."""
+    rots = [f"r{i}" for i in range(1, 9)]
+    lines = ["group D512xC2", "gens " + " ".join(["t"] + rots + ["c"])]
+    lines += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(7)]
+    lines += [f"conj {rots[i]} t = " + " ".join(rots[i:]) for i in range(8)]  # ri^t = ri^-1
+    group = load("\n".join(lines) + "\n")
+    w = select_witness(group, check_hypotheses(group))
+    assert group.order == 1024
+    assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
     assert len(group.rows) <= 2 * group.n
 
 

@@ -352,12 +352,16 @@ def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_ti
 
 
 def test_inverses_above_the_table_limit(dihedral_times_c2):
-    """D512 x C2 (order 1024) is above the group algebra's table limit, and
-    its inverses, conjugate tables and right multipliers still hold."""
+    """D512 x C2 (order 1024) is above the group algebra's table limit, so
+    neither the algebra nor the full table is built, and its inverses,
+    conjugate tables and right multipliers still hold."""
     group = load(dihedral_times_c2(9))
     assert group.order == 1024
     with pytest.raises(TableLimitError, match="order 1024 is above 512"):
         GroupAlgebra(group)
+    with pytest.raises(TableLimitError, match="order 1024 is above 512"):
+        group.cayley
+    assert list(group.rows) == [0]
     xs = random.Random(1).sample(range(group.order), 64)
     for x in xs:
         assert group.multiply(x, group.inverse(x)) == 0

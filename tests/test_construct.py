@@ -225,30 +225,25 @@ def test_the_ladder_top_reads_few_rows(dihedral_times_c2):
 
 
 def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_times_c2):
-    """Stepping a^i by products keeps no row of a candidate a: o32_45 holds
-    fewer rows than elements after the search, and D512 x C2 (order 1024,
-    n = 10) at most 2n after hypotheses and the search."""
+    """Stepping a^i by products keeps no row of a candidate a, and doubling
+    b^-1's row keeps none of a candidate b: o32_45 holds fewer rows than
+    elements after the search, and D512 x C2 (order 1024, n = 10) at most 2n
+    after hypotheses and the search, whether the scan reaches b = t second
+    (t last among the generators) or after 511 non-central rotations (t
+    first)."""
     group = load_file(corpus_dir / "o32" / "o32_45.pc2")
     select_witness(group, check_hypotheses(group))
     assert len(group.rows) < group.order
-    group = load(dihedral_times_c2(9))
-    select_witness(group, check_hypotheses(group))
-    assert len(group.rows) <= 2 * group.n
-
-
-def test_the_witness_search_keeps_no_row_per_candidate_b():
-    """D512 x C2 with the reflection t first (order 1024, n = 10): every
-    rotation comes before t in the scan, so the search tries 511 non-central
-    b before b = t, and still keeps at most 2n rows."""
     rots = [f"r{i}" for i in range(1, 9)]
-    lines = ["group D512xC2", "gens " + " ".join(["t"] + rots + ["c"])]
-    lines += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(7)]
-    lines += [f"conj {rots[i]} t = " + " ".join(rots[i:]) for i in range(8)]  # ri^t = ri^-1
-    group = load("\n".join(lines) + "\n")
-    w = select_witness(group, check_hypotheses(group))
-    assert group.order == 1024
-    assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
-    assert len(group.rows) <= 2 * group.n
+    t_first = ["group D512xC2", "gens " + " ".join(["t"] + rots + ["c"])]
+    t_first += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(7)]
+    t_first += [f"conj {rots[i]} t = " + " ".join(rots[i:]) for i in range(8)]  # ri^t = ri^-1
+    for text in dihedral_times_c2(9), "\n".join(t_first) + "\n":
+        group = load(text)
+        w = select_witness(group, check_hypotheses(group))
+        assert group.order == 1024
+        assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
+        assert len(group.rows) <= 2 * group.n
 
 
 def test_the_witness_above_the_table_limit(dihedral_times_c2):

@@ -85,7 +85,6 @@ def fingerprint(group: FiniteGroup, table: TableGroup):
     return (
         group.order,
         profile,
-        group.is_abelian(),
         center.order,
         derived.order,
         center_profile,
@@ -111,15 +110,10 @@ def classify(parents):
             table = TableGroup(group.cayley)
             fp = fingerprint(group, table)
             bucket = buckets.setdefault(fp, [])
-            known = False
-            for idx in bucket:
-                other_group, other_table = reps[idx][1], reps[idx][2]
-                if group.is_abelian() and other_group.is_abelian():
-                    known = True  # abelian 2-groups with equal profiles coincide
-                    break
-                if isomorphic_small(table, other_table):
-                    known = True
-                    break
+            # fp holds |G'|, so the bucket is abelian with the group, and
+            # abelian 2-groups with equal order profiles coincide
+            abelian = group.derived_subgroup().order == 1
+            known = any(abelian or isomorphic_small(table, reps[idx][2]) for idx in bucket)
             if not known:
                 bucket.append(len(reps))
                 reps.append((cand, group, table))

@@ -36,6 +36,8 @@ def _parse_witness(group, spec: str):
             raise pcgroup.ParseError(f"unknown witness key {key!r}")
         if key in parts:
             raise pcgroup.ParseError(f"witness key {key!r} given twice")
+        if not word.strip(" \t\n*·"):  # nothing but separators
+            raise pcgroup.ParseError(f"witness key {key!r} has an empty word")
         parts[key] = group.parse_word(word)
     missing = {"a", "b", "z"} - set(parts)
     if missing:

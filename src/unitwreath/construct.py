@@ -15,7 +15,7 @@ from functools import cache
 from itertools import combinations
 
 from . import oracle
-from .grpalg import AlgebraElement, GroupAlgebra, unit_order
+from .grpalg import AlgebraElement, GroupAlgebra
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
 from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled, table_from_rows
 
@@ -165,9 +165,9 @@ class QuotientGroup:
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
-    """Test the theorem's hypotheses and list candidate central involutions."""
-    nonabelian = not group.is_abelian()
+    """Test the hypotheses and list candidate central involutions; G is abelian iff G' = 1."""
     derived = group.derived_subgroup()
+    nonabelian = derived.order > 1
     cyclic, _ = group.is_cyclic(derived)
     center = group.center()
     derived_set = set(derived.elements)
@@ -255,9 +255,9 @@ def select_witness(
             )
     else:
         z = report.candidates_z[0]
-        gens = [1 << k for k in range(group.n)]
+        sides = [(group.rows[1 << (group.n - j)], group.right[j]) for j in range(1, group.n + 1)]
         for b in group.elements():
-            if all(group.multiply(g, b) == group.multiply(b, g) for g in gens):
+            if all(row[b] == col[b] for row, col in sides):  # g·b = b·g, as center() reads it
                 continue  # a central b has (b, a) = 1 for every a
             comms = _commutators(group, b)
             a = next((a for a in group.elements() if qualifies(comms, a)), None)
@@ -307,44 +307,40 @@ def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
 
 
 def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
-    """Check the orbit generates an elementary abelian direct product X.
+    """Certify that the orbit generates X ≅ C2^m, by the paper's identity.
 
-    Returns (X, checks): X as a sorted list of units, checks a dict of the
-    three orbit-level booleans.  Raises ConstructionError on any failure,
-    naming the violating elements; ClosureCapError when |X| exceeds cap.
+    With h_i = 1 + x_i and (1+x)² = 1 + x² in characteristic 2, h_i is an
+    involution when x_i ≠ 0 = x_i², and when every x_i·x_j = 0 the product
+    of the h_i over S is 1 + Σ_{i∈S} x_i.  These 2^m sums are distinct when
+    the supports of the x_i miss 1 and are pairwise disjoint: for
+    x_i = b_i(1+z), x_i·x_j = b_i·b_j·(1+z)² = 0, and 1, the b_i and the
+    b_i·z must be 2m+1 distinct elements.  Returns (X sorted by bitset,
+    the three checks, all True); a failing condition raises
+    ConstructionError naming its positions, and |X| > cap ClosureCapError.
     """
-    units = orbit.units
-    m = len(units)
-    checks = {}
-    bad = [i for i, u in enumerate(units) if unit_order(u) != 2]
-    checks["orbit-orders"] = not bad
+    algebra = orbit.units[0].algebra
+    zero = algebra.zero()
+    xs = [u + algebra.one() for u in orbit.units]
+    m = len(xs)
+    bad = [i for i, x in enumerate(xs) if x == zero or x * x != zero]
     if bad:
         raise ConstructionError(f"orbit members at positions {bad} are not of order 2")
-    noncomm = [
-        (i, j)
-        for i, j in combinations(range(m), 2)
-        if units[i] * units[j] != units[j] * units[i]
-    ]
-    checks["pairwise-commuting"] = not noncomm
+    products = {(i, j): (xs[i] * xs[j], xs[j] * xs[i]) for i, j in combinations(range(m), 2)}
+    noncomm = [ij for ij, (p, q) in products.items() if p != q]
     if noncomm:
         raise ConstructionError(f"orbit members at {noncomm} do not commute")
     if 1 << m > cap:
         raise ClosureCapError(f"base group X of order 2^{m} exceeds cap {cap}")
-    # commuting involutions: the sub-products are X, all distinct exactly
-    # when none is 1; a Gray code reaches each with one product
-    prod = units[0].algebra.one()
-    base = [prod]
-    for i in range(1, 1 << m):
-        prod = prod * units[(i & -i).bit_length() - 1]
-        subset = i ^ (i >> 1)
-        if prod.support_size() != 1 + 2 * subset.bit_count():
-            positions = tuple(j for j in range(m) if subset >> j & 1)
-            raise ConstructionError(
-                f"sub-product over positions {positions} degenerates: {prod.words()}"
-            )
-        base.append(prod)
-    checks["subset-products-nontrivial"] = True
-    return sorted(base, key=lambda u: u.bits), checks
+    at_one = [i for i, x in enumerate(xs) if x.bits & 1]
+    meet = [(i, j) for (i, j), (p, _) in products.items() if p != zero or xs[i].bits & xs[j].bits]
+    if at_one or meet:
+        raise ConstructionError(f"sub-products degenerate: 1 in the support of x_i at {at_one}; "
+                                f"x_i·x_j ≠ 0 or supports meet at {meet}")
+    base = [1]
+    for x in xs:
+        base += [y ^ x.bits for y in base]
+    checks = dict.fromkeys(CHECK_NAMES[1:4], True)  # orbit-orders to subset-products-nontrivial
+    return [AlgebraElement(algebra, bits) for bits in sorted(base)], checks
 
 
 def build_section(

@@ -104,7 +104,7 @@ def parse_presentation(text: str, name_hint: str = "<input>") -> PcPresentation:
 
     Syntax (UTF-8, '#' starts a comment):
         group <name>
-        gens <g1> <g2> ... <gN>
+        gens <g1> <g2> ... <gN>      (no name is 1 or holds *, ·, , or =)
         pow <gi> = <word>
         conj <gj> <gi> = <word>
     where <word> is a space-separated list of generator names, or "1".
@@ -146,6 +146,10 @@ def parse_presentation(text: str, name_hint: str = "<input>") -> PcPresentation:
             gens = parts[1:]
             if len(set(gens)) != len(gens):
                 raise ParseError(f"{name_hint}:{where}: duplicate generator names")
+            bad = [g for g in gens if g == "1" or set(g) & set("*·,=")]
+            if bad:
+                raise ParseError(f"{name_hint}:{where}: generator name {bad[0]!r} is '1' "
+                                 "or holds '*', '·', ',' or '='")
             gen_index = {g: i for i, g in enumerate(gens, start=1)}
         elif kw == "pow":
             if not gens:
@@ -499,11 +503,6 @@ class FiniteGroup:
             row = self.rows[1 << (self.n - j)]
             central = [x for x in central if row[x] == self.right[j][x]]
         return Subgroup(elements=tuple(central))
-
-    def is_abelian(self) -> bool:
-        gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
-        return all(self.multiply(x, y) == self.multiply(y, x)
-                   for x in gens for y in gens)
 
     def is_cyclic(self, sub: Subgroup) -> tuple[bool, int | None]:
         """Whether the subgroup is cyclic, with a generator witness."""

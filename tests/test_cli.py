@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -252,6 +253,9 @@ class TestVerify:
         [
             ("a=a,b=b,z=z,q=c", "unknown witness key 'q'"),
             ("a=a,b=b,z=z,a=a", "witness key 'a' given twice"),
+            ("a=,b=b,z=z", "witness key 'a' has an empty word"),
+            ("a=a,b= ,z=z", "witness key 'b' has an empty word"),
+            ("a=a,b=b,z= * ", "witness key 'z' has an empty word"),
         ],
     )
     def test_witness_key_errors_exit_3(self, capsys, d8xc2_path, spec, message):
@@ -268,6 +272,23 @@ class TestVerify:
         data = json.loads(out)
         assert data["verdict"] == "pass"
         assert len(data["pipelines"]) == 4
+
+
+# sha256 of the sweep's JSON.  A change that alters the JSON on purpose
+# updates these and says so in CHANGES.md.
+@pytest.mark.parametrize(
+    "directory, flags, digest",
+    [
+        ("o16", [], "78431cb3b0fffeab710da057a65888fb6e0d9b0ab70b73ccaee5e5c56c7643d6"),
+        ("o16", ["--oracle"], "39e2de6bbaf4c75ed140c2e7993b45b03b6ec55608464f75aa35a61491a01b36"),
+        ("o32", [], "36c6d9689ae545e9ba29dd61ca5592408dfb73148a6828dfb211f5f8c06b17b4"),
+        ("o32", ["--oracle"], "ce3dcc14d40f7e87afed2c8cacc6e3000069aba00a7e0e7eabd1cc52ee11ef4d"),
+    ],
+)
+def test_sweep_json_is_pinned(capsys, directory, flags, digest):
+    code, out, err = run(capsys, "verify", str(default_corpus_dir() / directory), "--json", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitwreath import construct
+from unitwreath import construct, kernels
 from unitwreath.cli import _dump
 from unitwreath.construct import (
     REASON_ABELIAN,
     REASON_NO_Z,
+    BaseOrbit,
     ConstructionError,
     NoWitnessError,
     QuotientGroup,
@@ -286,6 +287,58 @@ class TestBaseGroup:
         assert len(base) == 4
         with pytest.raises(ClosureCapError, match=r"^base group X of order 2\^2 exceeds cap 3$"):
             verify_base_group(pipeline.orbit, cap=3)
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            # x = 1 + z: an involution whose x has 1 in its support
+            pytest.param(["z"], r"1 in the support of x_i at \[0\]", id="one-in-support"),
+            # commuting involutions, but (1 + z)(1 + c) = 1 + z + c + z·c is not 0
+            pytest.param(["z", "c"], r"x_i·x_j ≠ 0 or supports meet at \[\(0, 1\)\]",
+                         id="nonzero-product"),
+        ],
+    )
+    def test_degenerate_orbits_rejected(self, d8xc2, d8xc2_algebra, words, message):
+        units = tuple(d8xc2_algebra.embed(d8xc2.parse_word(w)) for w in words)
+        with pytest.raises(ConstructionError, match=message):
+            verify_base_group(BaseOrbit(units=units))
+
+
+def assert_base_is_the_closure_of_the_orbit(group):
+    orbit = build_orbit(GroupAlgebra(group), select_witness(group, check_hypotheses(group)))
+    base, checks = verify_base_group(orbit)
+    assert base == bfs_closure(orbit.units), group.name
+    assert checks == dict.fromkeys(
+        ("orbit-orders", "pairwise-commuting", "subset-products-nontrivial"), True
+    )
+
+
+def test_base_is_the_closure_of_the_orbit_on_the_corpus(corpus_dir):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    for group in passing:
+        assert_base_is_the_closure_of_the_orbit(group)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_base_is_the_closure_of_the_orbit_on_the_ladder(n, dihedral_times_c2):
+    assert_base_is_the_closure_of_the_orbit(load(dihedral_times_c2(n)))
+
+
+def test_the_base_group_makes_no_product_per_element(monkeypatch, dihedral_times_c2):
+    """D32 x C2 (m = 8, |X| = 256): x_i·x_i for each i and x_i·x_j, x_j·x_i
+    for each pair, m + m(m-1) = 64 convolutions; the 2^m elements of X are
+    sums."""
+    group = load(dihedral_times_c2(5))
+    orbit = build_orbit(GroupAlgebra(group), select_witness(group, check_hypotheses(group)))
+    calls = []
+    convolve = kernels.Convolver.convolve
+    monkeypatch.setattr(
+        kernels.Convolver, "convolve", lambda self, u, v: calls.append(1) or convolve(self, u, v)
+    )
+    base, _ = verify_base_group(orbit)
+    assert (len(orbit.units), len(base), len(calls)) == (8, 256, 64)
 
 
 class TestSection:

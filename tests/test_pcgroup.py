@@ -66,11 +66,20 @@ class TestLoad:
             "group X\ngens a\npow q = a\n",  # unknown generator
             "group X\ngens a\nfrob a\n",  # unknown keyword
             "group X\ngens a b\npow a = b\npow a = b\n",  # duplicate relation
+            "group X\ngens 1 a\npow a = 1\n",  # a generator named as the identity
+            "group X\ngens a b*c\n",  # names that words cannot refer to
+            "group X\ngens a·b c\n",
+            "group X\ngens a,b\n",
+            "group X\ngens a=b\n",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             load(text)
+
+    def test_a_bad_generator_name_is_reported_with_its_line(self):
+        with pytest.raises(ParseError, match=r"^<input>:line 3: generator name '1' "):
+            load("# a comment\ngroup X\ngens a 1\n")
 
     def test_serialize_round_trip(self, d8xc2):
         text = pcgroup.serialize_presentation(d8xc2.pres)

@@ -249,8 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.witness and Path(args.path).is_dir():
-        parser.error("--witness applies to one presentation file, not a directory")
+    if args.command == "verify":
+        if Path(args.path).is_dir():
+            if args.witness:
+                parser.error("--witness applies to one presentation file, not a directory")
+        elif args.order is not None or not args.keep_going:
+            parser.error("--order and --first-failure apply to a directory sweep, not one file")
     try:
         return args.func(args)
     except (pcgroup.PcError, oracle.ClosureCapError, construct.NoWitnessError,

@@ -255,9 +255,9 @@ def select_witness(
             )
     else:
         z = report.candidates_z[0]
-        sides = [(group.rows[1 << (group.n - j)], group.right[j]) for j in range(1, group.n + 1)]
+        central = set(group.center().elements)
         for b in group.elements():
-            if all(row[b] == col[b] for row, col in sides):  # g·b = b·g, as center() reads it
+            if b in central:
                 continue  # a central b has (b, a) = 1 for every a
             comms = _commutators(group, b)
             a = next((a for a in group.elements() if qualifies(comms, a)), None)
@@ -272,36 +272,26 @@ def select_witness(
 
 
 def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
-    """The conjugates h^(a^i) of h = 1 + b(1+z), with closed-form checks.
+    """The conjugates h_i = h^(a^i) = 1 + b_i(1+z) of h = 1 + b(1+z), b_i = b^(a^i).
 
-    Conjugation by a permutes the group, so it carries the support of each
-    unit onto that of the next.  Unit i must be 1 + b·(b, a^i)·(1+z), where
-    b·(b, a^i) = b^(a^i) is read from b's conjugate table.
+    b_(i+1) = b_i^a is one conjugation, so the m units take O(m) group
+    products.  Conjugation by a carries h_i's support {1, b_i, b_i·z} onto
+    h_(i+1)'s when (b_i·z)^a = b_(i+1)·z, which a central z makes true; the
+    orbit wraps when b_m = b.
     """
     group = algebra.group
-    by_a = group.conjugation_map(w.a)
-    conj_b = group.conjugates(w.b)
-    times_z = group.right_multiplier(w.z)
-    step = group.left_multiplier(w.a)  # a^(i+1) = a·a^i
-
-    def closed_form(a_i: int) -> AlgebraElement:
-        bc = conj_b[a_i]
-        return algebra.from_support((0, bc, times_z(bc)))
-
-    units = []
-    a_i = 0
-    u = closed_form(a_i)
+    units, b_i = [], w.b
     for i in range(1 << w.s):
-        expected = closed_form(a_i)
-        if u != expected:
+        b_iz = group.multiply(b_i, w.z)
+        units.append(algebra.from_support((0, b_i, b_iz)))
+        b_i, got = group.conjugate(b_i, w.a), group.conjugate(b_iz, w.a)
+        expected = group.multiply(b_i, w.z)
+        if got != expected:
             raise ConstructionError(
-                f"orbit closed form fails at i={i}: got {u.words()}, "
-                f"expected {expected.words()}"
+                f"orbit closed form fails at i={i + 1}: (b_{i}·z)^a is "
+                f"{group.word_str(got)}, not b_{i + 1}·z = {group.word_str(expected)}"
             )
-        units.append(u)
-        u = algebra.from_support(map(by_a.__getitem__, u.support()))
-        a_i = step(a_i)
-    if u != units[0]:
+    if b_i != w.b:
         raise ConstructionError("orbit does not wrap around under conjugation by a")
     return BaseOrbit(units=tuple(units))
 

@@ -51,6 +51,14 @@ class ClosureCapError(Exception):
 WORD_SEP = "·"  # interpunct, used when printing element words
 
 
+def _name_fault(gens) -> str | None:
+    """Why words cannot name the generators apart (a repeat, "1", or a separator), or None."""
+    if len(set(gens)) != len(gens):
+        return "duplicate generator names"
+    bad = [g for g in gens if g == "1" or set(g) & set("*·,=")]
+    return f"generator name {bad[0]!r} is '1' or holds '*', '·', ',' or '='" if bad else None
+
+
 @dataclass(frozen=True)
 class PcPresentation:
     """Power/conjugation data for a 2-group on n generators.
@@ -72,8 +80,8 @@ class PcPresentation:
         n = self.n
         if n < 1:
             raise ParseError(f"{self.name}: no generators declared")
-        if len(set(self.gens)) != n:
-            raise ParseError(f"{self.name}: duplicate generator names")
+        if fault := _name_fault(self.gens):
+            raise ParseError(f"{self.name}: {fault}")
         for i, word in self.powers.items():
             if not 1 <= i <= n:
                 raise ConstraintError(f"{self.name}: pow index {i} out of range")
@@ -144,12 +152,8 @@ def parse_presentation(text: str, name_hint: str = "<input>") -> PcPresentation:
             if len(parts) < 2:
                 raise ParseError(f"{name_hint}:{where}: expected generator names")
             gens = parts[1:]
-            if len(set(gens)) != len(gens):
-                raise ParseError(f"{name_hint}:{where}: duplicate generator names")
-            bad = [g for g in gens if g == "1" or set(g) & set("*·,=")]
-            if bad:
-                raise ParseError(f"{name_hint}:{where}: generator name {bad[0]!r} is '1' "
-                                 "or holds '*', '·', ',' or '='")
+            if fault := _name_fault(gens):
+                raise ParseError(f"{name_hint}:{where}: {fault}")
             gen_index = {g: i for i, g in enumerate(gens, start=1)}
         elif kw == "pow":
             if not gens:
@@ -320,9 +324,9 @@ class FiniteGroup:
     (n·order entries), then proves the presentation consistent by the
     overlap test, so that the tables hold the products of a group of order
     2^n.  `multiply` reads y's letters off the tables.  `rows` is a
-    RowStore holding the identity's row; the multipliers, the center and
-    the group algebra's kernel read it, and each row they ask for is built
-    once and kept.  Inverses are memoized.
+    RowStore holding the identity's row; right multipliers, conjugate
+    tables, the center and the group algebra's kernel read it, and each row
+    they ask for is built once and kept.  Inverses are memoized.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -415,10 +419,6 @@ class FiniteGroup:
             y ^= 1 << (k - 1)
         return x
 
-    def left_multiplier(self, x: int):
-        """The map y ↦ x·y: a lookup in x's row, which is built once and kept."""
-        return self.rows[x].__getitem__
-
     def right_multiplier(self, c: int):
         """The map y ↦ y·c: a lookup in c's right column.
 
@@ -457,13 +457,8 @@ class FiniteGroup:
         for l in range(1, self.n + 1):
             bit = 1 << (self.n - l)
             by_gl = map(self.right[l].__getitem__, conj[::2 * bit])
-            conj[bit::2 * bit] = list(map(self.left_multiplier(self.inverse(bit)), by_gl))
+            conj[bit::2 * bit] = list(map(self.rows[self.inverse(bit)].__getitem__, by_gl))
         return conj
-
-    def conjugation_map(self, g: int) -> list[int]:
-        """[x^g for x in elements()], each g^-1·(x·g)."""
-        right = map(self.right_multiplier(g), self.elements())
-        return list(map(self.left_multiplier(self.inverse(g)), right))
 
     def power(self, x: int, m: int) -> int:
         acc = 0

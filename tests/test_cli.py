@@ -13,6 +13,7 @@ from unitwreath.catalog import default_corpus_dir
 from unitwreath.cli import main
 
 O16 = str(default_corpus_dir() / "o16")
+D8 = str(default_corpus_dir() / "o8" / "D8.pc2")
 
 
 @pytest.fixture()
@@ -116,6 +117,8 @@ def test_sweep_records_unreadable_files(capsys, tmp_path, d8xc2_path):
         ["scan", O16, "--order", "1"],
         ["scan", O16, "--order", "12"],
         ["construct", "x.pc2"],  # verify without --oracle covers it
+        ["verify", D8, "--order", "32"],  # the sweep flags on one file
+        ["verify", D8, "--first-failure"],
     ],
 )
 def test_usage_error_exits_3(capsys, argv):

@@ -188,16 +188,18 @@ class TestOrbit:
             build_orbit(d8xc2_algebra, bad)
 
 
-def assert_orbit_is_iterated_conjugation(group):
-    """build_orbit permutes supports; grpalg.conjugate_unit convolves."""
-    report = check_hypotheses(group)
-    w = select_witness(group, report)
-    units = build_orbit(GroupAlgebra(group), w).units
+def assert_units_are_iterated_conjugates(units, a):
+    """build_orbit steps b_i by group products; grpalg.conjugate_unit convolves."""
     u = units[0]
     for unit in units:
-        assert unit == u, group.name
-        u = conjugate_unit(u, w.a)
+        assert unit == u, unit.algebra.group.name
+        u = conjugate_unit(u, a)
     assert u == units[0]
+
+
+def assert_orbit_is_iterated_conjugation(group):
+    w = select_witness(group, check_hypotheses(group))
+    assert_units_are_iterated_conjugates(build_orbit(GroupAlgebra(group), w).units, w.a)
 
 
 def test_orbit_equals_iterated_conjugate_unit_on_the_corpus(corpus_dir):
@@ -223,6 +225,19 @@ def test_the_ladder_top_reads_few_rows(dihedral_times_c2):
     build_orbit(GroupAlgebra(group), select_witness(group, report))
     assert group.order == 512
     assert len(group.rows) < group.order // 2
+
+
+def test_the_orbit_reads_no_row(dihedral_times_c2):
+    """build_orbit steps b_i by group products: on a fresh D256 x C2, with
+    the witness found on a second load, it builds no row past the
+    identity's, and its units are the iterated conjugate_unit of h."""
+    reference = load(dihedral_times_c2(8))
+    w = select_witness(reference, check_hypotheses(reference))
+    group = load(dihedral_times_c2(8))
+    units = build_orbit(GroupAlgebra(group), w).units
+    assert list(group.rows) == [0]
+    assert len(units) == 64
+    assert_units_are_iterated_conjugates(units, w.a)
 
 
 def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_times_c2):

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict a directory sweep to one group order")
     p.add_argument("--first-failure", dest="keep_going", action="store_false",
                    help="stop a directory sweep at the first failure")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, usage_error=p.error)  # prints verify's usage line
 
     p = sub.add_parser("scan", help="census of a corpus directory")
     p.add_argument("path")
@@ -252,9 +252,11 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if Path(args.path).is_dir():
             if args.witness:
-                parser.error("--witness applies to one presentation file, not a directory")
+                args.usage_error("--witness applies to one presentation file, not a directory")
         elif args.order is not None or not args.keep_going:
-            parser.error("--order and --first-failure apply to a directory sweep, not one file")
+            args.usage_error(
+                "--order and --first-failure apply to a directory sweep, not one file"
+            )
     try:
         return args.func(args)
     except (pcgroup.PcError, oracle.ClosureCapError, construct.NoWitnessError,

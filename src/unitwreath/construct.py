@@ -11,13 +11,12 @@ Every step is recorded as a named boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
-from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled, table_from_rows
+from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -51,7 +50,9 @@ class ConstructionError(Exception):
 class HypothesisReport:
     derived_order: int
     derived_cyclic: bool
+    derived_generator: int | None  # c with G' = <c>, when G' is cyclic
     nonabelian: bool
+    center: tuple[int, ...]
     center_order: int
     candidates_z: tuple[int, ...]
     passed: bool
@@ -164,11 +165,31 @@ class QuotientGroup:
         return TableGroup(table_from_rows(self.rows, 0))
 
 
+def table_from_rows(rows, identity: int) -> list[list[int]]:
+    """Cayley table on 0..N-1 from the generators' left-multiplication rows.
+
+    rows[k][y] is gk·y.  Every element x = gk·w that closure reaches from
+    identity gets its row by lookups, x·y = gk·(w·y), so the generators
+    must generate the group.
+    """
+    table: list = [None] * len(rows[0])
+    table[identity] = list(range(len(table)))
+
+    def left(w: int, k: int) -> int:
+        x = rows[k][w]
+        if table[x] is None:
+            table[x] = list(map(rows[k].__getitem__, table[w]))
+        return x
+
+    closure(range(len(rows)), left, identity)
+    return table
+
+
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     """Test the hypotheses and list candidate central involutions; G is abelian iff G' = 1."""
     derived = group.derived_subgroup()
     nonabelian = derived.order > 1
-    cyclic, _ = group.is_cyclic(derived)
+    cyclic, c = group.is_cyclic(derived)
     center = group.center()
     derived_set = set(derived.elements)
     candidates = tuple(
@@ -186,7 +207,9 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     return HypothesisReport(
         derived_order=derived.order,
         derived_cyclic=cyclic,
+        derived_generator=c,
         nonabelian=nonabelian,
+        center=center.elements,
         center_order=center.order,
         candidates_z=candidates,
         passed=reason is None,
@@ -194,30 +217,49 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     )
 
 
-def _commutators(group: FiniteGroup, b: int) -> list[int]:
-    """[(b, x) for x in the group], each b^-1·b^x; b^-1's row is doubled, not kept."""
-    return list(map(doubled(group.right, 0, group.inverse(b)).__getitem__, group.conjugates(b)))
+def _commutator_exponents(group: FiniteGroup, report: HypothesisReport):
+    """The map b ↦ [E[x] for every x], where (b, x) = c^E[x] and G' = <c>.
 
-
-def _witness_invariants(group: FiniteGroup, comms: list[int], a: int,
-                        derived_order: int, order_of):
-    """Commutator orbit of (b, a^i) when the pair qualifies, else None.
-
-    comms is b's commutator table, _commutators(group, b), and order_of
-    gives element orders, group.element_order or a memo of it.
+    c^g = c^k_g for each generator g, so (b, w·g) = (b, g)·(b, w)^g
+    (Robinson, A Course in the Theory of Groups, 5.1.5) gives
+    E[w·g] = E[g] + k_g·E[w] mod m: b's table doubles over x's last letter,
+    through one list of m entries per generator.  The logarithms c^e ↦ e
+    take m products and the k_g one conjugation each, once per search.
     """
-    if order_of(comms[a]) != derived_order:
-        return None
-    orbit = {}  # (b, a^i) for i < 2^s in order, so that a repeat ends the test at once
-    a_i = 0  # a^i, each one product with a; a's row is not kept
-    for _ in range(derived_order):
-        if comms[a_i] in orbit:
-            return None
-        orbit[comms[a_i]] = None
+    m, c = report.derived_order, report.derived_generator
+    log, c_e = {}, 0
+    for e in range(m):
+        log[c_e] = e
+        c_e = group.multiply(c_e, c)
+    gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
+    k = [log[group.conjugate(c, g)] for g in gens]
+
+    def exponents(b: int) -> list[int]:
+        steps: list = [None]  # steps[j][e] is E[w·gj] when E[w] = e
+        for g, k_g in zip(gens, k):
+            e_g = log[group.commutator(b, g)]
+            steps.append([(e_g + k_g * e) % m for e in range(m)])
+        return doubled(steps, 0, 0)
+
+    return exponents
+
+
+def _qualifies(group: FiniteGroup, exps: list[int], a: int, m: int) -> bool:
+    """Whether (b, a) meets the side conditions, read off b's exponents exps.
+
+    (b, a) = c^exps[a] generates G' when exps[a] is odd; the (b, a^i) for
+    i < m are distinct when their exponents are; (b, a^m) = 1 when
+    exps[a^m] = 0.
+    """
+    if not exps[a] & 1:
+        return False
+    seen, a_i = set(), 0  # a^i, each one product with a; a's row is not built
+    for _ in range(m):
+        if exps[a_i] in seen:
+            return False
+        seen.add(exps[a_i])
         a_i = group.multiply(a_i, a)
-    if comms[a_i] != 0:  # (b, a^(2^s)) = 1
-        return None
-    return list(orbit)
+    return exps[a_i] == 0
 
 
 def select_witness(
@@ -228,18 +270,16 @@ def select_witness(
     """First (b, a) pair in canonical order meeting all side conditions.
 
     The conditions: (b, a) generates the derived subgroup, (b, a^(2^s)) = 1,
-    and the 2^s commutators (b, a^i) are pairwise distinct.  z is the first
-    candidate central involution.  An override (a, b, z) is validated
-    against the same conditions.
+    and the 2^s commutators (b, a^i) are pairwise distinct.  Each is read
+    off b's exponent table, the exponents e of its commutators (b, x) = c^e.
+    z is the first candidate central involution.  An override (a, b, z) is
+    validated against the same conditions.
     """
     if not report.passed:
         raise ValueError("select_witness requires a hypothesis-passing group")
-    derived_order = report.derived_order
-    s = derived_order.bit_length() - 1
-    order_of = cache(group.element_order)  # commutators lie in G': m values
-
-    def qualifies(comms: list[int], a: int) -> bool:
-        return _witness_invariants(group, comms, a, derived_order, order_of) is not None
+    m = report.derived_order
+    s = m.bit_length() - 1
+    exponents = _commutator_exponents(group, report)
 
     if override is not None:
         a, b, z = override
@@ -248,19 +288,19 @@ def select_witness(
                 f"override z = {group.word_str(z)} is not a central involution "
                 "outside the derived subgroup"
             )
-        if not qualifies(_commutators(group, b), a):
+        if not _qualifies(group, exponents(b), a, m):
             raise NoWitnessError(
                 f"override pair (b, a) = ({group.word_str(b)}, {group.word_str(a)}) "
                 "violates the witness side conditions"
             )
     else:
         z = report.candidates_z[0]
-        central = set(group.center().elements)
+        central = set(report.center)
         for b in group.elements():
             if b in central:
                 continue  # a central b has (b, a) = 1 for every a
-            comms = _commutators(group, b)
-            a = next((a for a in group.elements() if qualifies(comms, a)), None)
+            exps = exponents(b)
+            a = next((a for a in group.elements() if _qualifies(group, exps, a, m)), None)
             if a is not None:
                 break
         else:

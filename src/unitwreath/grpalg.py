@@ -2,8 +2,9 @@
 
 An algebra element is a subset of the group, stored as an int bitset over
 the group's canonical element index.  Addition is symmetric difference,
-multiplication is convolution through the group's left-multiplication
-rows, so the algebra is built only up to CAYLEY_LIMIT.  Odd-support
+multiplication is convolution through left-multiplication rows, which the
+algebra builds from the group's tables as it reads them and keeps (a
+RowStore), so the algebra is built only up to CAYLEY_LIMIT.  Odd-support
 elements are exactly the normalized units: the augmentation ideal of a
 2-group algebra in characteristic 2 is nilpotent, so they are invertible
 with 2-power order.
@@ -12,7 +13,7 @@ with 2-power order.
 from __future__ import annotations
 
 from . import kernels
-from .pcgroup import FiniteGroup, TableLimitError
+from .pcgroup import FiniteGroup, TableLimitError, doubled
 
 # The largest group order whose algebra is built: convolution reads a row
 # for every support element, and the enumerating checks can read them all.
@@ -28,14 +29,38 @@ def check_table_limit(group: FiniteGroup) -> None:
         )
 
 
+class RowStore(dict):
+    """Left-multiplication rows by element, store[x][y] = x·y, built on first use.
+
+    It starts with the identity's row.  A generator's row is doubled over
+    the group's tables; the row of any other x = gl·w, where gl is the
+    leading letter of x, is gl's row composed with w's, x·y = gl·(w·y), and
+    w's row is kept too.
+    """
+
+    def __init__(self, right: list):
+        super().__init__({0: list(range(len(right[-1])))})
+        self.right = right  # right[j][x] = x·gj
+
+    def __missing__(self, x: int) -> list[int]:
+        if not 0 < x < len(self[0]):
+            raise IndexError(f"element index {x} out of range")
+        lead = 1 << (x.bit_length() - 1)
+        if x == lead:
+            row = self[x] = doubled(self.right, 0, x)
+        else:
+            row = self[x] = list(map(self[lead].__getitem__, self[x ^ lead]))
+        return row
+
+
 class GroupAlgebra:
-    """KG for K = GF(2); caches the convolution kernel for its group."""
+    """KG for K = GF(2); keeps the convolution kernel and its rows for its group."""
 
     def __init__(self, group: FiniteGroup):
         check_table_limit(group)
         self.group = group
         self.order = group.order
-        self._conv = kernels.Convolver(group.rows)
+        self._conv = kernels.Convolver(RowStore(group.right))
 
     # --- constructors -----------------------------------------------------
 

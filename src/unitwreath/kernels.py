@@ -23,14 +23,13 @@ def bit_indices(bits: int) -> list[int]:
 class Convolver:
     """GF(2) convolution over left-multiplication rows, rows[x][y] = x·y.
 
-    The rows are a full table, or the RowStore of a group (the one a
-    GroupAlgebra passes, up to grpalg.CAYLEY_LIMIT), which builds the row of
-    each support element of the left operand the first time it is read and
-    keeps it.
+    The rows are a full table, or the grpalg.RowStore that a GroupAlgebra
+    builds for itself, which builds the row of each support element of the
+    left operand the first time it is read and keeps it.
     """
 
     def __init__(self, rows):
-        self._rows = rows  # shared with the group, never mutated here
+        self._rows = rows  # never mutated here
 
     def convolve(self, ubits: int, vbits: int) -> int:
         v_idx = bit_indices(vbits)

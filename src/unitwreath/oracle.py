@@ -95,13 +95,6 @@ class TableGroup:
                 closed = self.closure(gens)
         return gens
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[x][y] == self.table[y][x]
-            for x in range(self.order)
-            for y in range(x + 1, self.order)
-        )
-
 
 @dataclass(frozen=True)
 class WreathModel:

@@ -11,8 +11,10 @@ integer order on indices is the lexicographic order on exponent vectors.
 Products are read off one table per generator, right[j][x] = x·gj, built
 at load layer by layer: G_j = <gj, ..., gn> extends G_(j+1) by gj, and
 x = H·L with H on letters <= j and L in G_(j+1) gives x·gj = H·gj·L^gj
-(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Rows x ↦ [x·y]
-are kept too, each built when first read.
+(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Besides the
+tables the group keeps only its inverses: a left-multiplication row
+y ↦ x·y is doubled over the tables by whatever reads it, and the group
+algebra alone keeps the rows it convolves with.
 """
 
 from __future__ import annotations
@@ -245,26 +247,6 @@ def closure(gens, multiply, identity, cap: int | None = None) -> set:
     return seen
 
 
-def table_from_rows(rows, identity: int) -> list[list[int]]:
-    """Cayley table on 0..N-1 from the generators' left-multiplication rows.
-
-    rows[k][y] is gk·y.  Every element x = gk·w that closure reaches from
-    identity gets its row by lookups, x·y = gk·(w·y), so the generators
-    must generate the group.
-    """
-    table: list = [None] * len(rows[0])
-    table[identity] = list(range(len(table)))
-
-    def left(w: int, k: int) -> int:
-        x = rows[k][w]
-        if table[x] is None:
-            table[x] = list(map(rows[k].__getitem__, table[w]))
-        return x
-
-    closure(range(len(rows)), left, identity)
-    return table
-
-
 def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
     """[f(y) for y in G_(j+1)], where f(1) = start and f(w·gk) = f(w)·word(k).
 
@@ -280,30 +262,6 @@ def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
             seg = list(map(right[l].__getitem__, seg))
         out[bit::2 * bit] = seg
     return out
-
-
-class RowStore(dict):
-    """Left-multiplication rows by element, store[x][y] = x·y, built on first use.
-
-    It starts with the identity's row.  A generator's row is doubled over
-    the group's tables; the row of any other x = gl·w, where gl is the
-    leading letter of x, is gl's row composed with w's, x·y = gl·(w·y): the
-    rule of table_from_rows.
-    """
-
-    def __init__(self, right: list):
-        super().__init__({0: list(range(len(right[-1])))})
-        self.right = right  # right[j][x] = x·gj
-
-    def __missing__(self, x: int) -> list[int]:
-        if not 0 < x < len(self[0]):
-            raise IndexError(f"element index {x} out of range")
-        lead = 1 << (x.bit_length() - 1)
-        if x == lead:
-            row = self[x] = doubled(self.right, 0, x)
-        else:
-            row = self[x] = list(map(self[lead].__getitem__, self[x ^ lead]))
-        return row
 
 
 @dataclass(frozen=True)
@@ -323,10 +281,9 @@ class FiniteGroup:
     All operations are pure.  Construction builds `right`, right[j][x] = x·gj
     (n·order entries), then proves the presentation consistent by the
     overlap test, so that the tables hold the products of a group of order
-    2^n.  `multiply` reads y's letters off the tables.  `rows` is a
-    RowStore holding the identity's row; right multipliers, conjugate
-    tables, the center and the group algebra's kernel read it, and each row
-    they ask for is built once and kept.  Inverses are memoized.
+    2^n.  `multiply` reads y's letters off the tables; the center, subgroup
+    closures and `cayley` double the rows they read and keep none of them.
+    Inverses are memoized, and nothing else is kept.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -338,7 +295,6 @@ class FiniteGroup:
         self._inverses = {0: 0}
         self.right = self._tables()
         self._check_overlaps()
-        self.rows = RowStore(self.right)
 
     # --- tables ---------------------------------------------------------
 
@@ -396,10 +352,10 @@ class FiniteGroup:
 
     @property
     def cayley(self) -> list[list[int]]:
-        """Every row, built and kept; TableLimitError above the algebra's limit."""
+        """Every row, each doubled over the tables; TableLimitError above the algebra's limit."""
         from .grpalg import check_table_limit  # grpalg imports this module
         check_table_limit(self)
-        return [self.rows[x] for x in self.elements()]
+        return [doubled(self.right, 0, x) for x in self.elements()]
 
     # --- core operations ------------------------------------------------
 
@@ -418,17 +374,6 @@ class FiniteGroup:
             x = right[top - k][x]
             y ^= 1 << (k - 1)
         return x
-
-    def right_multiplier(self, c: int):
-        """The map y ↦ y·c: a lookup in c's right column.
-
-        y = gl·w gives y·c = gl·(w·c), so the column doubles over the leading
-        letter, one lookup in a generator's row per entry.
-        """
-        col = [c]
-        for k in range(self.n):  # the generator 1 << k is g_(n - k)
-            col += list(map(self.rows[1 << k].__getitem__, col))  # a bare map over col never ends
-        return col.__getitem__
 
     def inverse(self, x: int) -> int:
         """x^-1 by the last letter: x = w·gj gives x^-1 = gj^-1·w^-1 (memoized)."""
@@ -451,15 +396,6 @@ class FiniteGroup:
         """(x, y) = x^-1 y^-1 x y."""
         return self.multiply(self.inverse(x), self.multiply(self.inverse(y), self.multiply(x, y)))
 
-    def conjugates(self, b: int) -> list[int]:
-        """[b^x for every x], doubled over x's last letter: b^(w·gl) = gl^-1·(b^w·gl)."""
-        conj = [b] * self.order
-        for l in range(1, self.n + 1):
-            bit = 1 << (self.n - l)
-            by_gl = map(self.right[l].__getitem__, conj[::2 * bit])
-            conj[bit::2 * bit] = list(map(self.rows[self.inverse(bit)].__getitem__, by_gl))
-        return conj
-
     def power(self, x: int, m: int) -> int:
         acc = 0
         base = x
@@ -481,8 +417,9 @@ class FiniteGroup:
     # --- subgroups -------------------------------------------------------
 
     def subgroup_closure(self, gens) -> Subgroup:
-        right = [self.right_multiplier(g) for g in gens]
-        seen = closure(range(len(right)), lambda x, k: right[k](x), self.identity)
+        """<gens>, closed under x ↦ g·x: each generator's row is doubled, not kept."""
+        rows = [doubled(self.right, 0, g) for g in gens]
+        seen = closure(range(len(rows)), lambda x, k: rows[k][x], self.identity)
         return Subgroup(elements=tuple(sorted(seen)))
 
     def derived_subgroup(self) -> Subgroup:
@@ -492,10 +429,10 @@ class FiniteGroup:
         return self.subgroup_closure(comms)
 
     def center(self) -> Subgroup:
-        """The elements x with g·x = x·g for every generator g, read off g's row and table."""
+        """The x with g·x = x·g for every generator g: g's doubled row against its table."""
         central = self.elements()
         for j in range(1, self.n + 1):
-            row = self.rows[1 << (self.n - j)]
+            row = doubled(self.right, 0, 1 << (self.n - j))
             central = [x for x in central if row[x] == self.right[j][x]]
         return Subgroup(elements=tuple(central))
 

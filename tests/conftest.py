@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import strategies as st
 
 from unitwreath.catalog import default_corpus_dir
 from unitwreath.grpalg import GroupAlgebra
-from unitwreath.pcgroup import load_file
+from unitwreath.pcgroup import PcPresentation, load_file
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,32 @@ def dihedral_times_c2():
         return "\n".join(lines) + "\n"
 
     return text
+
+
+@st.composite
+def twisted_presentations(draw):
+    """Up to four random power or conjugation words, within the index constraints.
+
+    Few twists keep the consistent draws common at every n.
+    """
+    n = draw(st.integers(1, 6))
+    slots = [(i, i) for i in range(1, n)]
+    slots += [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    powers, conjugations = {}, {}
+    chosen = []
+    if slots:
+        chosen = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
+    for i, j in chosen:
+        tail = tuple(draw(st.lists(st.integers(i + 1, n), min_size=1, max_size=2)))
+        if i == j:
+            powers[i] = tail
+        else:
+            conjugations[(i, j)] = (j, *tail)
+    gens = tuple(f"g{i}" for i in range(1, n + 1))
+    return PcPresentation("R", gens, powers, conjugations)
+
+
+def assert_holds_no_row(group):
+    """The group keeps its tables right[j] = [x·gj] and its inverses, nothing more."""
+    assert sorted(vars(group)) == ["_inverses", "n", "name", "order", "pres", "right"]
+    assert len(group.right) == group.n + 1

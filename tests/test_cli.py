@@ -127,6 +127,8 @@ def test_usage_error_exits_3(capsys, argv):
     assert out == ""
     assert err.startswith("usage:")
     assert "error:" in err and "Traceback" not in err
+    if argv[0] in ("verify", "scan", "model"):  # the subcommand's usage line, not the top level's
+        assert err.startswith(f"usage: unitwreath {argv[0]} ")
 
 
 class TestLargeGroups:
@@ -249,6 +251,7 @@ class TestVerify:
         )
         assert code == 3
         assert out == ""
+        assert err.startswith("usage: unitwreath verify ")
         assert "--witness applies to one presentation file" in err
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_holds_no_row, twisted_presentations
 from unitwreath import construct, kernels
 from unitwreath.cli import _dump
 from unitwreath.construct import (
@@ -19,12 +20,18 @@ from unitwreath.construct import (
     select_witness,
     verify_base_group,
     verify_wreath,
-    _commutators,
-    _witness_invariants,
+    _commutator_exponents,
+    _qualifies,
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
 from unitwreath.oracle import bfs_closure
-from unitwreath.pcgroup import ClosureCapError, load, load_file
+from unitwreath.pcgroup import (
+    ClosureCapError,
+    ConsistencyError,
+    load,
+    load_file,
+    serialize_presentation,
+)
 
 
 def section_quotient(result):
@@ -94,31 +101,23 @@ class TestWitness:
         }
         assert len(comms) == 1 << w.s
 
-    def test_invariants_list_the_commutators_in_order(self, corpus32):
-        # _witness_invariants steps a^i by one product; compare with power(a, i)
-        for group in corpus32:
-            report = check_hypotheses(group)
-            if not report.passed:
-                continue
-            w = select_witness(group, report)
-            comms = _witness_invariants(
-                group, _commutators(group, w.b), w.a, report.derived_order,
-                group.element_order,
-            )
-            assert comms == [
-                group.commutator(w.b, group.power(w.a, i)) for i in range(1 << w.s)
-            ]
-
-    @pytest.mark.parametrize("top", ["z", "1"])
-    def test_invariants_require_b_to_commute_with_a_to_the_2_to_the_s(self, d8xc2, top):
-        # a hand-built table (b, x): (b, a) = c of order 2 = |G'| and the
-        # orbit [1, c] is distinct, so (b, a^2) = (b, c) alone decides
-        a, b, c = (d8xc2.parse_word(w) for w in "abc")
-        assert d8xc2.power(a, 2) == c
-        comms = [0] * d8xc2.order
-        comms[a], comms[c] = c, d8xc2.parse_word(top)
-        expected = [0, c] if top == "1" else None
-        assert _witness_invariants(d8xc2, comms, a, 2, d8xc2.element_order) == expected
+    @pytest.mark.parametrize(
+        "m, listed, expected",
+        [
+            pytest.param(2, {"a": 1}, True, id="qualifies"),
+            pytest.param(2, {"a": 1, "c": 1}, False, id="b-and-a-to-the-m-do-not-commute"),
+            pytest.param(4, {"a": 1, "c": 2, "a*c": 3}, True, id="four-distinct"),
+            pytest.param(4, {"a": 2, "c": 1, "a*c": 3}, False, id="even"),
+            pytest.param(4, {"a": 1, "c": 1, "a*c": 3}, False, id="repeat"),
+        ],
+    )
+    def test_qualify_reads_a_hand_built_exponent_table(self, d8xc2, m, listed, expected):
+        # a has order 4 with a^2 = c, so a^i for i = 0..4 is 1, a, c, a·c, 1;
+        # the table gives the exponents listed and 0 elsewhere
+        exps = [0] * d8xc2.order
+        for word, e in listed.items():
+            exps[d8xc2.parse_word(word)] = e
+        assert _qualifies(d8xc2, exps, d8xc2.parse_word("a"), m) is expected
 
     def test_requires_passing_report(self, d8):
         report = check_hypotheses(d8)
@@ -188,6 +187,75 @@ class TestOrbit:
             build_orbit(d8xc2_algebra, bad)
 
 
+def assert_exponents_give_the_commutators(group):
+    """c^(E_b[x]) = (b, x) for every x, for the witness's b and each generator."""
+    report = check_hypotheses(group)
+    exponents = _commutator_exponents(group, report)
+    c = report.derived_generator
+    w = select_witness(group, report)
+    for b in [w.b] + [1 << k for k in range(group.n)]:
+        assert [group.power(c, e) for e in exponents(b)] == [
+            group.commutator(b, x) for x in group.elements()
+        ], (group.name, group.word_str(b))
+
+
+def test_exponents_give_the_commutators_on_the_corpus(corpus_dir):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    for group in passing:
+        assert_exponents_give_the_commutators(group)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_exponents_give_the_commutators_on_the_ladder(n, dihedral_times_c2):
+    assert_exponents_give_the_commutators(load(dihedral_times_c2(n)))
+
+
+def brute_force_qualifies(group, m, a, b):
+    """The side conditions from commutators and powers, each computed afresh."""
+    return (
+        group.element_order(group.commutator(b, a)) == m
+        and len({group.commutator(b, group.power(a, i)) for i in range(m)}) == m
+        and group.commutator(b, group.power(a, m)) == 0
+    )
+
+
+@settings(max_examples=500, deadline=None)  # about one draw in 13 meets the hypotheses
+@given(twisted_presentations(), st.data())
+def test_the_search_matches_a_brute_force_scan(pres, data):
+    """On random presentations: the witness is the first (b, a) in canonical
+    order that brute_force_qualifies, and a drawn override (a, b) is
+    accepted exactly when it qualifies."""
+    try:
+        group = load(serialize_presentation(pres))
+    except ConsistencyError:
+        return
+    report = check_hypotheses(group)
+    if not report.passed:
+        with pytest.raises(ValueError):
+            select_witness(group, report)
+        return
+    m, z = report.derived_order, report.candidates_z[0]
+    first = next(
+        ((a, b) for b in group.elements() for a in group.elements()
+         if brute_force_qualifies(group, m, a, b)),
+        None,
+    )
+    if first is None:
+        with pytest.raises(NoWitnessError):
+            select_witness(group, report)
+    else:
+        w = select_witness(group, report)
+        assert (w.a, w.b, w.z) == (*first, z)
+    a, b = (data.draw(st.integers(0, group.order - 1)) for _ in "ab")
+    if brute_force_qualifies(group, m, a, b):
+        assert select_witness(group, report, override=(a, b, z)).a == a
+    else:
+        with pytest.raises(NoWitnessError):
+            select_witness(group, report, override=(a, b, z))
+
+
 def assert_units_are_iterated_conjugates(units, a):
     """build_orbit steps b_i by group products; grpalg.conjugate_unit convolves."""
     u = units[0]
@@ -217,39 +285,38 @@ def test_orbit_equals_iterated_conjugate_unit_on_the_ladder(n, dihedral_times_c2
 
 
 def test_the_ladder_top_reads_few_rows(dihedral_times_c2):
-    """D256 x C2 (order 512) through hypotheses, witness and orbit builds 16
-    rows, the identity's and the generators' 9 among them; the full table
-    has 512."""
+    """D256 x C2 (order 512) through hypotheses, witness and orbit: the
+    group keeps no row, and the algebra none but the identity's."""
     group = load(dihedral_times_c2(8))
-    report = check_hypotheses(group)
-    build_orbit(GroupAlgebra(group), select_witness(group, report))
+    algebra = GroupAlgebra(group)
+    build_orbit(algebra, select_witness(group, check_hypotheses(group)))
     assert group.order == 512
-    assert len(group.rows) < group.order // 2
+    assert_holds_no_row(group)
+    assert list(algebra._conv._rows) == [0]
 
 
 def test_the_orbit_reads_no_row(dihedral_times_c2):
-    """build_orbit steps b_i by group products: on a fresh D256 x C2, with
-    the witness found on a second load, it builds no row past the
-    identity's, and its units are the iterated conjugate_unit of h."""
-    reference = load(dihedral_times_c2(8))
-    w = select_witness(reference, check_hypotheses(reference))
+    """build_orbit steps b_i by group products: on D256 x C2 its algebra
+    builds no row past the identity's, and its units are the iterated
+    conjugate_unit of h."""
     group = load(dihedral_times_c2(8))
-    units = build_orbit(GroupAlgebra(group), w).units
-    assert list(group.rows) == [0]
+    w = select_witness(group, check_hypotheses(group))
+    algebra = GroupAlgebra(group)
+    units = build_orbit(algebra, w).units
+    assert list(algebra._conv._rows) == [0]
     assert len(units) == 64
     assert_units_are_iterated_conjugates(units, w.a)
 
 
 def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_times_c2):
-    """Stepping a^i by products keeps no row of a candidate a, and doubling
-    b^-1's row keeps none of a candidate b: o32_45 holds fewer rows than
-    elements after the search, and D512 x C2 (order 1024, n = 10) at most 2n
-    after hypotheses and the search, whether the scan reaches b = t second
-    (t last among the generators) or after 511 non-central rotations (t
-    first)."""
+    """The search reads exponent tables, one list per candidate b, and
+    steps a^i by products: the group keeps no row after hypotheses and the
+    search on o32_45, and on D512 x C2 (order 1024) whether the scan
+    reaches b = t second (t last among the generators) or after 511
+    non-central rotations (t first)."""
     group = load_file(corpus_dir / "o32" / "o32_45.pc2")
     select_witness(group, check_hypotheses(group))
-    assert len(group.rows) < group.order
+    assert_holds_no_row(group)
     rots = [f"r{i}" for i in range(1, 9)]
     t_first = ["group D512xC2", "gens " + " ".join(["t"] + rots + ["c"])]
     t_first += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(7)]
@@ -259,17 +326,19 @@ def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_time
         w = select_witness(group, check_hypotheses(group))
         assert group.order == 1024
         assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
-        assert len(group.rows) <= 2 * group.n
+        assert_holds_no_row(group)
 
 
 def test_the_witness_above_the_table_limit(dihedral_times_c2):
-    """D32768 x C2 (order 65,536, s = 13) gets the ladder's witness."""
+    """D32768 x C2 (order 65,536, s = 13) gets the ladder's witness, and
+    the group keeps no row after hypotheses and the search."""
     group = load(dihedral_times_c2(15))
     report = check_hypotheses(group)
     w = select_witness(group, report)
     assert group.order == 65536 and report.passed
     assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
     assert w.s == 13
+    assert_holds_no_row(group)
 
 
 class TestBaseGroup:

@@ -95,7 +95,12 @@ class TestWreathModel:
         assert reference_wreath(2).order == 64
 
     def test_s1_nonabelian(self):
-        assert not reference_wreath(1).to_table_group().is_abelian()
+        # the base unit e0 = (1, 0) and the shift t = (0, 1) do not commute
+        model = reference_wreath(1)
+        index = {x: i for i, x in enumerate(model.elements())}
+        e0, t = index[model.base_unit(0)], index[model.shift()]
+        table = model.to_table_group().table
+        assert table[e0][t] != table[t][e0]
 
     def test_shift_order_and_action(self):
         for s in (1, 2):

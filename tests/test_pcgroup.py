@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_holds_no_row, twisted_presentations
 from unitwreath import pcgroup
 from unitwreath.catalog import default_corpus_dir
-from unitwreath.grpalg import GroupAlgebra
+from unitwreath.grpalg import GroupAlgebra, RowStore
 from unitwreath.pcgroup import (
     ConsistencyError,
     ConstraintError,
@@ -258,29 +259,6 @@ def is_group_table(table: list[list[int]]) -> bool:
     )
 
 
-@st.composite
-def twisted_presentations(draw):
-    """Up to four random power or conjugation words, within the index constraints.
-
-    Few twists keep the consistent draws common at every n.
-    """
-    n = draw(st.integers(1, 6))
-    slots = [(i, i) for i in range(1, n)]
-    slots += [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    powers, conjugations = {}, {}
-    chosen = []
-    if slots:
-        chosen = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
-    for i, j in chosen:
-        tail = tuple(draw(st.lists(st.integers(i + 1, n), min_size=1, max_size=2)))
-        if i == j:
-            powers[i] = tail
-        else:
-            conjugations[(i, j)] = (j, *tail)
-    gens = tuple(f"g{i}" for i in range(1, n + 1))
-    return PcPresentation("R", gens, powers, conjugations)
-
-
 @settings(max_examples=150, deadline=None)
 @given(twisted_presentations())
 def test_overlap_verdict_matches_group_axioms(pres):
@@ -339,10 +317,10 @@ def sample(group, size: int = 12) -> list[int]:
 @pytest.mark.parametrize("case", equivalence_cases() + [pytest.param(9, id="D512xC2")])
 def test_tables_match_collection(case, dihedral_times_c2):
     """right[j][x] = x·gj equals the reference collector's product, on every
-    x up to order 512 and on sampled x above; loading builds no row but the
-    identity's, at every order."""
+    x up to order 512 and on sampled x above; loading keeps no row, at
+    every order."""
     group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
-    assert list(group.rows) == [0]
+    assert_holds_no_row(group)
     xs = group.elements() if group.order <= 512 else sample(group, 64)
     for j in range(1, group.n + 1):
         gen = 1 << (group.n - j)
@@ -352,36 +330,32 @@ def test_tables_match_collection(case, dihedral_times_c2):
 @pytest.mark.parametrize("case", equivalence_cases() + [pytest.param(9, id="D512xC2")])
 def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_times_c2):
     """Everything built on demand or by doubling equals collected products."""
-    # a fresh group: no row but the identity's is built yet
     group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
     everything = group.elements()
     mul = group.multiply
     for x in everything:
         assert mul(x, group.inverse(x)) == 0
+    rows = RowStore(group.right)  # a fresh algebra's rows: none but the identity's yet
     for x in sample(group):
-        assert group.rows[x] == [mul(x, y) for y in everything]
-        assert list(map(group.right_multiplier(x), everything)) == [mul(y, x) for y in everything]
-        assert group.conjugates(x) == [mul(mul(group.inverse(y), x), y) for y in everything]
+        assert pcgroup.doubled(group.right, 0, x) == [mul(x, y) for y in everything]
+        assert rows[x] == [mul(x, y) for y in everything]
 
 
 def test_inverses_above_the_table_limit(dihedral_times_c2):
     """D512 x C2 (order 1024) is above the group algebra's table limit, so
-    neither the algebra nor the full table is built, and its inverses,
-    conjugate tables and right multipliers still hold."""
+    neither the algebra nor the full table is built, and its inverses and
+    doubled rows still hold."""
     group = load(dihedral_times_c2(9))
     assert group.order == 1024
     with pytest.raises(TableLimitError, match="order 1024 is above 512"):
         GroupAlgebra(group)
     with pytest.raises(TableLimitError, match="order 1024 is above 512"):
         group.cayley
-    assert list(group.rows) == [0]
+    assert_holds_no_row(group)
     xs = random.Random(1).sample(range(group.order), 64)
     for x in xs:
         assert group.multiply(x, group.inverse(x)) == 0
         assert group.multiply(group.inverse(x), x) == 0
     for b in xs[:2]:
-        conj = group.conjugates(b)
-        right = group.right_multiplier(b)
-        for y in xs:
-            assert conj[y] == group.multiply(group.multiply(group.inverse(y), b), y)
-            assert right(y) == group.multiply(y, b)
+        row = pcgroup.doubled(group.right, 0, b)
+        assert [row[y] for y in xs] == [group.multiply(b, y) for y in xs]

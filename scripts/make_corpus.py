@@ -13,6 +13,7 @@ Run from the repository root:  python3 scripts/make_corpus.py
 
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -22,6 +23,7 @@ from unitwreath.pcgroup import (
     ConsistencyError,
     FiniteGroup,
     PcPresentation,
+    closure,
     load,
     serialize_presentation,
 )
@@ -70,7 +72,9 @@ def fingerprint(group: FiniteGroup, table: TableGroup):
     """Cheap exact-invariant tuple used to bucket isomorphism candidates."""
     profile = table.order_profile()
     center = group.center()
-    derived = group.derived_subgroup()
+    gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
+    derived = closure({group.commutator(x, y) for x, y in combinations(gens, 2)},
+                      group.multiply, 0)
     class_sizes = []
     seen = set()
     for x in range(group.order):
@@ -79,14 +83,14 @@ def fingerprint(group: FiniteGroup, table: TableGroup):
         orbit = {group.conjugate(x, g) for g in range(group.order)}
         seen |= orbit
         class_sizes.append(len(orbit))
-    center_profile = tuple(sorted(group.element_order(x) for x in center.elements))
-    derived_profile = tuple(sorted(group.element_order(x) for x in derived.elements))
+    center_profile = tuple(sorted(group.element_order(x) for x in center))
+    derived_profile = tuple(sorted(group.element_order(x) for x in derived))
     squares = len({group.multiply(x, x) for x in range(group.order)})
     return (
         group.order,
         profile,
-        center.order,
-        derived.order,
+        len(center),
+        len(derived),
         center_profile,
         derived_profile,
         tuple(sorted(class_sizes)),
@@ -112,7 +116,7 @@ def classify(parents):
             bucket = buckets.setdefault(fp, [])
             # fp holds |G'|, so the bucket is abelian with the group, and
             # abelian 2-groups with equal order profiles coincide
-            abelian = group.derived_subgroup().order == 1
+            abelian = fp[3] == 1
             known = any(abelian or isomorphic_small(table, reps[idx][2]) for idx in bucket)
             if not known:
                 bucket.append(len(reps))

@@ -16,7 +16,7 @@ from .construct import (
 from .grpalg import AlgebraElement, GroupAlgebra
 from .kernels import IMPL as KERNEL_IMPL
 from .oracle import WreathModel, bfs_closure, isomorphic_small, reference_wreath
-from .pcgroup import FiniteGroup, PcPresentation, Subgroup, load, load_file
+from .pcgroup import FiniteGroup, PcPresentation, load, load_file
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "PcPresentation",
     "PipelineResult",
     "SectionReport",
-    "Subgroup",
     "Witness",
     "WreathModel",
     "bfs_closure",

@@ -186,16 +186,35 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
-    """Test the hypotheses and list candidate central involutions; G is abelian iff G' = 1."""
-    derived = group.derived_subgroup()
-    nonabelian = derived.order > 1
-    cyclic, c = group.is_cyclic(derived)
+    """Test the hypotheses and list candidate central involutions; G is abelian iff G' = 1.
+
+    The commutators (gi, gj) of the pc generators generate G'.  Down k:
+    let those with i, j > k generate G_(k+1)', and H be generated by them
+    and the (gk, gj), all in G_(k+1).  G_(k+1)' is characteristic in
+    G_(k+1), so normal in G_k, and modulo it G_(k+1) is abelian: its
+    elements fix H under conjugation, and x ↦ (x, gk) is a homomorphism on
+    it, so h^gk = h·(h, gk) lies in H, a product of (gl, gk).  H is normal
+    in G_k with an abelian quotient, so H = G_k'.
+
+    So G' is cyclic exactly when every (gi, gj) lies in <c>, c the one of
+    largest order (the least index among ties): the subgroups of a cyclic
+    2-group form a chain.  Only a failing test lists G', as the closure of
+    the (gi, gj), for its order and the candidates outside it.
+    """
+    gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
+    comms = {group.commutator(x, y) for x, y in combinations(gens, 2)}
+    c = max(sorted(comms), key=group.element_order, default=0)
+    derived, c_e = {0}, c  # <c>, m products
+    while c_e:
+        derived.add(c_e)
+        c_e = group.multiply(c_e, c)
+    cyclic = comms <= derived
+    if not cyclic:
+        derived, c = closure(comms, group.multiply, 0), None
+    nonabelian = len(derived) > 1
     center = group.center()
-    derived_set = set(derived.elements)
     candidates = tuple(
-        x
-        for x in center.elements
-        if group.element_order(x) == 2 and x not in derived_set
+        x for x in center if group.element_order(x) == 2 and x not in derived
     )
     reason = None
     if not nonabelian:
@@ -205,12 +224,12 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     elif not candidates:
         reason = REASON_NO_Z
     return HypothesisReport(
-        derived_order=derived.order,
+        derived_order=len(derived),
         derived_cyclic=cyclic,
         derived_generator=c,
         nonabelian=nonabelian,
-        center=center.elements,
-        center_order=center.order,
+        center=center,
+        center_order=len(center),
         candidates_z=candidates,
         passed=reason is None,
         failure_reason=reason,

@@ -7,7 +7,9 @@ algebra builds from the group's tables as it reads them and keeps (a
 RowStore), so the algebra is built only up to CAYLEY_LIMIT.  Odd-support
 elements are exactly the normalized units: the augmentation ideal of a
 2-group algebra in characteristic 2 is nilpotent, so they are invertible
-with 2-power order.
+with 2-power order.  `unit_order`, `inverse_unit` and `conjugate_unit`
+compute in the algebra alone; they stay as the references the tests
+compare the group-product paths against.
 """
 
 from __future__ import annotations
@@ -133,15 +135,9 @@ class AlgebraElement:
     def support(self) -> tuple[int, ...]:
         return tuple(kernels.bit_indices(self.bits))
 
-    def support_size(self) -> int:
-        return self.bits.bit_count()
-
     def augmentation(self) -> int:
         """Image under the augmentation map KG -> GF(2)."""
         return self.bits.bit_count() & 1
-
-    def is_one(self) -> bool:
-        return self.bits == 1
 
     def words(self) -> str:
         """Human-readable sum of group-element words, e.g. "1 + b + b·z"."""

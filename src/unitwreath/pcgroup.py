@@ -14,7 +14,10 @@ x = H·L with H on letters <= j and L in G_(j+1) gives x·gj = H·gj·L^gj
 (Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Besides the
 tables the group keeps only its inverses: a left-multiplication row
 y ↦ x·y is doubled over the tables by whatever reads it, and the group
-algebra alone keeps the rows it convolves with.
+algebra alone keeps the rows it convolves with.  No subgroup is closed
+here: the center is filtered against the few generators that lead no
+square or commutator, and G' is read off the generators' commutators by
+the hypothesis check.
 """
 
 from __future__ import annotations
@@ -264,26 +267,15 @@ def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a sorted tuple of element indices."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 class FiniteGroup:
     """A finite 2-group realized over a pc presentation by its tables x·gj.
 
     All operations are pure.  Construction builds `right`, right[j][x] = x·gj
     (n·order entries), then proves the presentation consistent by the
     overlap test, so that the tables hold the products of a group of order
-    2^n.  `multiply` reads y's letters off the tables; the center, subgroup
-    closures and `cayley` double the rows they read and keep none of them.
-    Inverses are memoized, and nothing else is kept.
+    2^n.  `multiply` reads y's letters off the tables; the center and
+    `cayley` double the rows they read and keep none of them.  Inverses are
+    memoized, and nothing else is kept.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -414,35 +406,27 @@ class FiniteGroup:
             order <<= 1
         return order
 
-    # --- subgroups -------------------------------------------------------
+    # --- center ---------------------------------------------------------
 
-    def subgroup_closure(self, gens) -> Subgroup:
-        """<gens>, closed under x ↦ g·x: each generator's row is doubled, not kept."""
-        rows = [doubled(self.right, 0, g) for g in gens]
-        seen = closure(range(len(rows)), lambda x, k: rows[k][x], self.identity)
-        return Subgroup(elements=tuple(sorted(seen)))
+    def center(self) -> tuple[int, ...]:
+        """Z(G): the x with g·x = x·g for the generators that lead no gi^2 and no (gi, gj).
 
-    def derived_subgroup(self) -> Subgroup:
+        A gk that leads (is the first letter of) the collected gi^2 or
+        (gi, gj) lies in Φ(G)·G_(k+1), Φ(G) = G^2·G' the Frattini subgroup.
+        By induction down k the other generators generate G modulo Φ(G), so
+        they generate G (Burnside's basis theorem).  Each is tested by its
+        doubled row against its table.
+        """
         gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
-        # (y, x) = (x, y)^-1, so the pairs x < y generate the same subgroup
-        comms = sorted({self.commutator(x, y) for x, y in combinations(gens, 2)} - {0})
-        return self.subgroup_closure(comms)
-
-    def center(self) -> Subgroup:
-        """The x with g·x = x·g for every generator g: g's doubled row against its table."""
+        words = [self.right[j][g] for j, g in enumerate(gens, start=1)]
+        words += [self.commutator(x, y) for x, y in combinations(gens, 2)]
+        leaders = {w.bit_length() for w in words}  # gk's bit length is n + 1 - k
         central = self.elements()
-        for j in range(1, self.n + 1):
-            row = doubled(self.right, 0, 1 << (self.n - j))
-            central = [x for x in central if row[x] == self.right[j][x]]
-        return Subgroup(elements=tuple(central))
-
-    def is_cyclic(self, sub: Subgroup) -> tuple[bool, int | None]:
-        """Whether the subgroup is cyclic, with a generator witness."""
-        target = sub.order
-        for x in sub.elements:
-            if self.element_order(x) == target:
-                return True, x
-        return False, None
+        for j, g in enumerate(gens, start=1):
+            if g.bit_length() not in leaders:
+                row = doubled(self.right, 0, g)
+                central = [x for x in central if row[x] == self.right[j][x]]
+        return tuple(central)
 
     # --- names and words ---------------------------------------------------
 

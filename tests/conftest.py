@@ -6,6 +6,16 @@ from unitwreath.grpalg import GroupAlgebra
 from unitwreath.pcgroup import PcPresentation, load_file
 
 
+# D8 x D8 (order 64): G' = <c, y> is a four-group, not cyclic
+D8_SQUARED = """group D8xD8
+gens a c b x y w
+pow a = c
+conj b a = b c
+pow x = y
+conj w x = w y
+"""
+
+
 @pytest.fixture(scope="session")
 def corpus_dir():
     return default_corpus_dir()
@@ -75,6 +85,36 @@ def twisted_presentations(draw):
             conjugations[(i, j)] = (j, *tail)
     gens = tuple(f"g{i}" for i in range(1, n + 1))
     return PcPresentation("R", gens, powers, conjugations)
+
+
+@st.composite
+def qualifying_presentations(draw):
+    """Metacyclic <t, r> times 1 to 3 central C2, a group the hypotheses hold in.
+
+    |r| = 2^k with r^t = r^j, j^2 ≡ 1 ≢ j, and t^2 = r^e with
+    e(j - 1) ≡ 0 (mod 2^k), so that t^2 commutes with t.  The pc generators
+    are t, r_i = r^(2^(i-1)) for i = 1..k, and the central involutions at
+    drawn places; G' = <r^(j-1)> is cyclic, and no central generator lies
+    in <t, r> ⊇ G'.  At most 6 generators keep the order at most 64.
+    """
+    k = draw(st.integers(2, 4))
+    mod = 1 << k
+    j = draw(st.sampled_from([j for j in range(3, mod, 2) if j * j % mod == 1]))
+    e = draw(st.sampled_from([e for e in range(mod) if e * (j - 1) % mod == 0]))
+    rots = [f"r{i}" for i in range(1, k + 1)]
+    gens = ["t"] + rots
+    for c in range(draw(st.integers(1, 5 - k))):
+        gens.insert(draw(st.integers(0, len(gens))), f"c{c}")
+    index = {g: i for i, g in enumerate(gens, start=1)}
+
+    def r_power(x):  # r^x in normal form: r_i for each set bit i - 1 of x mod 2^k
+        return tuple(index[rots[i]] for i in range(k) if x % mod >> i & 1)
+
+    powers = {index[rots[i]]: (index[rots[i + 1]],) for i in range(k - 1)}
+    if e:
+        powers[index["t"]] = r_power(e)
+    conjugations = {(index["t"], index[rots[i]]): r_power(j << i) for i in range(k)}
+    return PcPresentation("M", tuple(gens), powers, conjugations)
 
 
 def assert_holds_no_row(group):

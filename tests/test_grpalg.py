@@ -48,7 +48,7 @@ class TestEmbedding:
 
     def test_support_size_one(self, d8xc2_algebra):
         for g in d8xc2_algebra.group.elements():
-            assert d8xc2_algebra.embed(g).support_size() == 1
+            assert d8xc2_algebra.embed(g).bits.bit_count() == 1
 
 
 class TestAddMul:
@@ -77,7 +77,7 @@ class TestAddMul:
         b = group.parse_word("b")
         bz = group.multiply(b, group.parse_word("z"))
         assert set(h.support()) == {0, b, bz}
-        assert h.support_size() == 3
+        assert h.bits.bit_count() == 3
 
     def test_group_mismatch_rejected(self, d8xc2_algebra, d8_algebra):
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestUnits:
     def test_conjugation_preserves_support_size_and_order(self, d8xc2_algebra, h):
         for g in d8xc2_algebra.group.elements():
             v = conjugate_unit(h, g)
-            assert v.support_size() == h.support_size()
+            assert v.bits.bit_count() == h.bits.bit_count()
             assert unit_order(v) == unit_order(h)
 
     def test_inverse_examples(self, d8xc2_algebra, h):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_holds_no_row, twisted_presentations
+from conftest import D8_SQUARED, assert_holds_no_row, twisted_presentations
 from unitwreath import pcgroup
 from unitwreath.catalog import default_corpus_dir
+from unitwreath.construct import REASON_NOT_CYCLIC, check_hypotheses
 from unitwreath.grpalg import GroupAlgebra, RowStore
 from unitwreath.pcgroup import (
     ConsistencyError,
@@ -149,45 +150,50 @@ class TestArithmetic:
 
 
 class TestSubgroups:
+    """G' and Z(G) as check_hypotheses reports them, and pcgroup.closure."""
+
     def test_derived_subgroup(self, d8xc2, d8):
-        assert d8xc2.derived_subgroup().order == 2
-        assert d8.derived_subgroup().order == 2
-        abelian = load("group C4\ngens a b\npow a = b\n")
-        assert abelian.derived_subgroup().elements == (0,)
+        for group in d8xc2, d8:
+            report = check_hypotheses(group)
+            assert (report.derived_order, report.derived_cyclic) == (2, True)
+            assert report.derived_generator == elt(group, "c")
+        report = check_hypotheses(load("group C4\ngens a b\npow a = b\n"))
+        assert (report.derived_order, report.derived_cyclic, report.derived_generator) == (1, True, 0)
 
     def test_center(self, d8xc2, d8):
-        assert d8.center().order == 2
+        assert d8.center() == (0, elt(d8, "c"))
+        assert check_hypotheses(d8).center_order == 2
         center = d8xc2.center()
-        assert center.order == 4
-        z = elt(d8xc2, "z")
-        assert z in center.elements
+        assert len(center) == check_hypotheses(d8xc2).center_order == 4
+        assert elt(d8xc2, "z") in center
+        # D8 x C2 again: a^2 = b b collects to 1, so b leads no square and
+        # its row must be tested; the word's first letter is not a leader
+        group = load("group D8xC2\ngens a b c z\npow a = b b\nconj b a = b c\n")
+        assert group.center() == tuple(elt(group, w) for w in ("1", "z", "c", "c*z"))
 
     def test_center_of_abelian_group(self):
         group = load("group C2xC2\ngens a b\n")
-        assert group.center().order == 4
+        assert group.center() == (0, 1, 2, 3)
+        assert check_hypotheses(group).center_order == 4
 
     def test_subgroup_closure(self, d8xc2):
         a, b = elt(d8xc2, "a"), elt(d8xc2, "b")
-        assert d8xc2.subgroup_closure([]).elements == (0,)
-        assert d8xc2.subgroup_closure([a]).order == 4
-        assert d8xc2.subgroup_closure([a, b]).order == 8
+        assert pcgroup.closure([], d8xc2.multiply, 0) == {0}
+        assert len(pcgroup.closure([a], d8xc2.multiply, 0)) == 4
+        assert len(pcgroup.closure([a, b], d8xc2.multiply, 0)) == 8
 
     def test_closure_is_conjugation_stable_for_derived_and_center(self, d8xc2):
-        for sub in (d8xc2.derived_subgroup(), d8xc2.center()):
-            members = set(sub.elements)
+        c = check_hypotheses(d8xc2).derived_generator
+        for members in pcgroup.closure([c], d8xc2.multiply, 0), set(d8xc2.center()):
             for x in members:
                 for g in d8xc2.elements():
                     assert d8xc2.conjugate(x, g) in members
 
-    def test_is_cyclic(self, d8xc2):
-        c, z = elt(d8xc2, "c"), elt(d8xc2, "z")
-        trivial = d8xc2.subgroup_closure([])
-        assert d8xc2.is_cyclic(trivial) == (True, 0)
-        ok, witness = d8xc2.is_cyclic(d8xc2.subgroup_closure([c]))
-        assert ok and witness == c
-        klein = d8xc2.subgroup_closure([c, z])
-        assert klein.order == 4
-        assert d8xc2.is_cyclic(klein) == (False, None)
+    def test_is_cyclic(self):
+        report = check_hypotheses(load(D8_SQUARED))
+        assert (report.derived_order, report.derived_cyclic) == (4, False)
+        assert report.derived_generator is None
+        assert not report.passed and report.failure_reason == REASON_NOT_CYCLIC
 
 
 class TestWords:

@@ -131,7 +131,8 @@ class QuotientGroup:
     identity's coset is 0.  The closure runs over representatives: each is
     multiplied on the left by each generator once, and rows[k][i] is the
     index of gens[k]·reps[i].  Every member of each coset found maps to its
-    representative, so a product lands on its coset in one lookup.
+    representative, so a product lands on its coset in one lookup, and so
+    does index_of.  The reps and the table depend on <gens> alone.
     """
 
     def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement],
@@ -143,7 +144,8 @@ class QuotientGroup:
             return bits.bit_count(), bits
 
         products = {}
-        rep_of = {t.bits: 1 for t in kernel}  # member to representative; the kernel is 1's coset
+        # member to representative; the kernel is 1's coset
+        self._rep_of = rep_of = {t.bits: 1 for t in kernel}
 
         def left(x: int, k: int) -> int:
             y = conv(gens[k].bits, x)
@@ -157,8 +159,12 @@ class QuotientGroup:
 
         self.reps = sorted(closure(range(len(gens)), left, 1, cap), key=key)
         self.order = len(self.reps)
-        index = {r: i for i, r in enumerate(self.reps)}
+        self._index = index = {r: i for i, r in enumerate(self.reps)}
         self.rows = [[index[products[k, r]] for r in self.reps] for k in range(len(gens))]
+
+    def index_of(self, bits: int) -> int | None:
+        """The index of the coset holding the unit bits, or None outside <gens>."""
+        return self._index.get(self._rep_of.get(bits))
 
     def to_table_group(self) -> TableGroup:
         """The table from the generators' rows of products with representatives."""
@@ -402,18 +408,29 @@ def build_section(
     *,
     base_checks: dict[str, bool],
 ) -> SectionReport:
-    """Quotient <X, a> / <a^(2^s)> and its wreath-product verification."""
+    """Quotient <X, a> / <a^(2^s)> and its wreath-product verification.
+
+    X is h_0's orbit under a, so <X, a> = <h_0, a>: the quotient is closed
+    from those two, and each orbit unit's image read off its coset.  A unit
+    in no coset is not a conjugate of h_0: ConstructionError.
+    """
     group = algebra.group
-    gens = list(orbit.units) + [algebra.embed(w.a)]
+    gens = [orbit.units[0], algebra.embed(w.a)]
     a_pow = algebra.embed(group.power(w.a, 1 << w.s))
     kernel = bfs_closure([a_pow], cap=cap)
 
     checks = dict(base_checks)
     checks["orbit-closed-form"] = True  # build_orbit already enforced it
-    # the kernel <a^m> is central in <gens> exactly when a^m commutes with gens
+    # the kernel <a^m> is central in <h_0, a> exactly when a^m commutes with both
     checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
     quotient = QuotientGroup(gens, kernel, cap=cap)
+    images = [quotient.index_of(u.bits) for u in orbit.units]
+    outside = [k for k, image in enumerate(images) if image is None]
+    if outside:
+        raise ConstructionError(
+            f"orbit units at positions {outside} lie outside <h_0, a>: not conjugates of h_0"
+        )
     # Lagrange: the kernel <a^m> lies in <X, a>
     ambient_order = quotient.order * len(kernel)
     report = SectionReport(
@@ -430,7 +447,7 @@ def build_section(
     )
 
     table = quotient.to_table_group()
-    *images, top = [row[0] for row in quotient.rows]  # gens[k] is rows[k][0]
+    top = quotient.rows[1][0]  # a's coset: a·1
     checks.update(verify_wreath(table, images, top, w.s, use_oracle=use_oracle))
     report.checks = checks
     if use_oracle and w.s > ORACLE_MAX_S:
@@ -449,18 +466,20 @@ def verify_wreath(
 
     Works on any multiplication-table group: the quotient built by
     build_section, or the reference coordinate model checked against itself.
+    The base is tested on its generators, the images: commuting involutions
+    generate an elementary abelian group, and in a finite group <S> is
+    normal in <T> when each s^t lies in <S>; commuting images fix each
+    other, so t = top is left.
     """
     m = 1 << s
     checks = {}
     base = group.closure(images)
     top_cyc = group.closure([top])
 
-    elem_abelian = all(group.mul(x, x) == group.identity for x in base) and all(
-        group.mul(x, y) == group.mul(y, x) for x in base for y in base
+    elem_abelian = all(group.mul(x, x) == group.identity for x in images) and all(
+        group.mul(x, y) == group.mul(y, x) for x, y in combinations(images, 2)
     )
-    normal = all(
-        group.conjugate(x, g) in base for x in base for g in images + [top]
-    )
+    normal = all(group.conjugate(x, top) in base for x in images)
     checks["base-normal-elem-abelian"] = (
         len(base) == 1 << m and elem_abelian and normal
     )

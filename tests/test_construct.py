@@ -29,7 +29,7 @@ from unitwreath.construct import (
     _qualifies,
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
-from unitwreath.oracle import bfs_closure
+from unitwreath.oracle import bfs_closure, reference_table, reference_wreath
 from unitwreath.pcgroup import (
     ClosureCapError,
     ConsistencyError,
@@ -579,6 +579,91 @@ class TestSection:
             assert result.section.ambient_order == len(ambient), path.stem
             checked += 1
         assert checked == 24
+
+
+def assert_two_generators_give_the_quotient(group):
+    """QuotientGroup from (h_0, a) is QuotientGroup from all m + 1 generators,
+    and index_of puts each orbit unit where the m + 1 generator rows do."""
+    result = run_pipeline(group, use_oracle=False)
+    full, gens, kernel = section_quotient(result)
+    pair = QuotientGroup([gens[0], gens[-1]], kernel)
+    assert (pair.reps, pair.order) == (full.reps, full.order), group.name
+    assert pair.to_table_group().table == full.to_table_group().table, group.name
+    assert [pair.index_of(g.bits) for g in gens] == [row[0] for row in full.rows], group.name
+
+
+def test_two_generators_give_the_quotient_on_the_corpus(corpus_dir):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    for group in passing:
+        assert_two_generators_give_the_quotient(group)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_two_generators_give_the_quotient_on_the_ladder(n, dihedral_times_c2):
+    assert_two_generators_give_the_quotient(load(dihedral_times_c2(n)))
+
+
+def o32_45_section_inputs(corpus_dir):
+    """o32_45 (m = 4) through the base group: build_section's arguments."""
+    group = load_file(corpus_dir / "o32" / "o32_45.pc2")
+    algebra = GroupAlgebra(group)
+    w = select_witness(group, check_hypotheses(group))
+    orbit = build_orbit(algebra, w)
+    base, base_checks = verify_base_group(orbit)
+    return algebra, w, base, orbit, base_checks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_unit_outside_the_section_is_named(k, corpus_dir):
+    # b has support 1 and lies outside <a>, as (b, a) != 1, so outside
+    # <h_0, a> = X·<a>, whose elements of support 1 are the a^j
+    algebra, w, base, orbit, base_checks = o32_45_section_inputs(corpus_dir)
+    units = list(orbit.units)
+    units[k] = algebra.embed(w.b)
+    with pytest.raises(ConstructionError, match=rf"positions \[{k}\] lie outside <h_0, a>"):
+        build_section(algebra, w, base, BaseOrbit(units=tuple(units)),
+                      use_oracle=False, base_checks=base_checks)
+
+
+def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
+    """build_section on o32_45 closes the quotient from h_0 and a: two
+    products per coset, |K| - 1 kernel translates of each new coset, and a
+    few for the kernel and its centrality; the m + 1 generators took
+    (m + 1)·|Q|."""
+    algebra, w, base, orbit, base_checks = o32_45_section_inputs(corpus_dir)
+    calls = []
+    convolve = kernels.Convolver.convolve
+    monkeypatch.setattr(
+        kernels.Convolver, "convolve", lambda self, u, v: calls.append(1) or convolve(self, u, v)
+    )
+    section = build_section(algebra, w, base, orbit, use_oracle=False, base_checks=base_checks)
+    q, k = section.quotient_order, section.kernel_order
+    assert (len(orbit.units), q, section.verdict) == (4, 64, True)
+    assert len(calls) <= 2 * q + q * (k - 1) + 8
+
+
+# C2 wr C4 in coordinates (v, t), v a 4-bit base vector and t a shift: each
+# case passes s, 2^s images and the shift τ = (0, 1) as top
+@pytest.mark.parametrize(
+    "s, images",
+    [
+        # <τ> is abelian of order 4 and normal under τ, but τ is no involution
+        pytest.param(1, [(0, 1), (0, 2)], id="not-an-involution"),
+        # involutions generating <even-weight vectors, τ²> of order 16, normal
+        # under τ; τ² moves e0 + e1 to e2 + e3
+        pytest.param(2, [(3, 0), (5, 0), (6, 0), (0, 2)], id="not-commuting"),
+        # <e0, e1> is elementary abelian of order 4, and τ moves it; of order
+        # 16 only the base itself is elementary abelian (brute force)
+        pytest.param(1, [(1, 0), (2, 0)], id="not-normal-under-top"),
+    ],
+)
+def test_the_base_is_tested_on_its_generators(s, images):
+    table = reference_table(2)
+    index = {x: i for i, x in enumerate(reference_wreath(2).elements())}
+    checks = verify_wreath(table, [index[x] for x in images], index[(0, 1)], s, use_oracle=False)
+    assert checks["base-normal-elem-abelian"] is False
 
 
 class TestPipeline:

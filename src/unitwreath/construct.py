@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import oracle
 from .grpalg import AlgebraElement, GroupAlgebra
-from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table
+from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table, table_from_rows
 from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled
 
 CHECK_NAMES = (
@@ -169,26 +169,6 @@ class QuotientGroup:
     def to_table_group(self) -> TableGroup:
         """The table from the generators' rows of products with representatives."""
         return TableGroup(table_from_rows(self.rows, 0))
-
-
-def table_from_rows(rows, identity: int) -> list[list[int]]:
-    """Cayley table on 0..N-1 from the generators' left-multiplication rows.
-
-    rows[k][y] is gk·y.  Every element x = gk·w that closure reaches from
-    identity gets its row by lookups, x·y = gk·(w·y), so the generators
-    must generate the group.
-    """
-    table: list = [None] * len(rows[0])
-    table[identity] = list(range(len(table)))
-
-    def left(w: int, k: int) -> int:
-        x = rows[k][w]
-        if table[x] is None:
-            table[x] = list(map(rows[k].__getitem__, table[w]))
-        return x
-
-    closure(range(len(rows)), left, identity)
-    return table
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:

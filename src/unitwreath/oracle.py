@@ -44,6 +44,7 @@ class TableGroup:
         self.order = len(table)
         self.identity = self._find_identity()
         self._orders: list[int] | None = None
+        self._inverses: list[int] | None = None
 
     def _find_identity(self) -> int:
         rng = range(self.order)
@@ -51,13 +52,6 @@ class TableGroup:
             if all(self.table[e][x] == x == self.table[x][e] for x in rng):
                 return e
         raise ValueError("multiplication table has no identity")
-
-    @classmethod
-    def from_elements(cls, elements, mulfn) -> "TableGroup":
-        elements = list(elements)
-        index = {x: i for i, x in enumerate(elements)}
-        table = [[index[mulfn(x, y)] for y in elements] for x in elements]
-        return cls(table)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -68,32 +62,76 @@ class TableGroup:
     def conjugate(self, x: int, g: int) -> int:
         return self.mul(self.mul(self.inverse(g), x), g)
 
-    def order_of(self, x: int) -> int:
-        k, y = 1, x
+    def _powers(self, x: int) -> tuple[int, int]:
+        """(|x|, x⁻¹): steps x, x², … to 1, and x⁻¹ is the power before 1."""
+        k, y, last = 1, x, self.identity
         while y != self.identity:
-            y = self.mul(y, x)
+            last, y = y, self.mul(y, x)
             k += 1
-        return k
+        return k, last
+
+    def order_of(self, x: int) -> int:
+        return self._powers(x)[0]
 
     def order_profile(self) -> tuple[int, ...]:
-        """Sorted element orders; fills the per-element list `_orders` once."""
+        """Sorted element orders; fills `_orders` and `_inverses` once."""
         if self._orders is None:
-            self._orders = [self.order_of(x) for x in range(self.order)]
+            powers = [self._powers(x) for x in range(self.order)]
+            self._orders = [k for k, _ in powers]
+            self._inverses = [inv for _, inv in powers]
         return tuple(sorted(self._orders))
+
+    def _pair_orders(self, x: int, y: int) -> tuple[int, int]:
+        """(|xy|, |(x, y)|), with (x, y) = x⁻¹y⁻¹xy; after order_profile()."""
+        t, inv = self.table, self._inverses
+        xy = t[x][y]
+        return self._orders[xy], self._orders[t[t[inv[x]][inv[y]]][xy]]
 
     def closure(self, gens) -> set[int]:
         return closure(gens, self.mul, self.identity)
 
     def generating_sequence(self) -> list[int]:
-        """Greedy generating sequence by decreasing element order, then index."""
+        """A minimal generating sequence of a 2-group, by decreasing order, then index.
+
+        Burnside's basis theorem: a set generates G exactly when it
+        generates G modulo the Frattini subgroup, and in a 2-group that is
+        H, the closure of the squares.  H holds G', as
+        (x, y) = x⁻²(xy⁻¹)²y², so H is normal, and x² ∈ H: ⟨H, x⟩ = H ∪ H·x.
+        Each x outside H is taken and doubles H, so the sequence has
+        log2(|G| / |H|) = d(G) elements, found in fewer than |G| products
+        after closing the squares.  Raises ValueError unless |G| is a
+        power of 2.
+        """
+        if self.order & (self.order - 1):
+            raise ValueError(f"order {self.order} is not a power of 2")
         self.order_profile()
+        closed = self.closure({self.mul(x, x) for x in range(self.order)})
         gens: list[int] = []
-        closed = {self.identity}
         for x in sorted(range(self.order), key=lambda x: (-self._orders[x], x)):
             if x not in closed:
                 gens.append(x)
-                closed = self.closure(gens)
+                closed |= {self.mul(h, x) for h in closed}
         return gens
+
+
+def table_from_rows(rows, identity: int) -> list[list[int]]:
+    """Cayley table on 0..N-1 from the generators' left-multiplication rows.
+
+    rows[k][y] is gk·y.  Every element x = gk·w that closure reaches from
+    identity gets its row by lookups, x·y = gk·(w·y), so the generators
+    must generate the group.
+    """
+    table: list = [None] * len(rows[0])
+    table[identity] = list(range(len(table)))
+
+    def left(w: int, k: int) -> int:
+        x = rows[k][w]
+        if table[x] is None:
+            table[x] = list(map(rows[k].__getitem__, table[w]))
+        return x
+
+    closure(range(len(rows)), left, identity)
+    return table
 
 
 @dataclass(frozen=True)
@@ -135,7 +173,12 @@ class WreathModel:
         return [(v, t) for t in range(self.m) for v in range(1 << self.m)]
 
     def to_table_group(self) -> TableGroup:
-        return TableGroup.from_elements(self.elements(), self.mul)
+        """The table from the rows of the shift and the base unit e0, which generate."""
+        elements = self.elements()
+        index = {x: i for i, x in enumerate(elements)}
+        gens = (self.shift(), self.base_unit(0))
+        rows = [[index[self.mul(g, y)] for y in elements] for g in gens]
+        return TableGroup(table_from_rows(rows, index[self.identity()]))
 
 
 def reference_wreath(s: int) -> WreathModel:
@@ -177,30 +220,32 @@ def _extend_isomorphism(a: TableGroup, b: TableGroup, gens, imgs):
 
 
 def isomorphic_small(a: TableGroup, b: TableGroup) -> bool:
-    """Exact isomorphism test by backtracking over generator images.
+    """Exact isomorphism test of 2-groups by backtracking over generator images.
 
-    An image y of generator t is tried only if it has t's order and
-    |img_u·y| = |g_u·g_t| for each earlier u; then the images so far must
-    generate a subgroup as large as the generators so far do.
+    The generators are a minimal generating sequence of a, so the search
+    is d(a) deep (see TableGroup.generating_sequence; a must be a 2-group).
+    An image y of generator t is tried only if it has t's order and, for
+    each earlier u, |img_u·y| = |g_u·g_t| and |(img_u, y)| = |(g_u, g_t)|,
+    both of which an isomorphism preserves; the images so far must then
+    generate a subgroup as large as the generators so far do (at t = 0 the
+    order test says so, and the leaf's bijection test sizes the last).
     Intended for orders up to 64; correct (if slower) beyond that.
     """
     if a.order != b.order or a.order_profile() != b.order_profile():
         return False
-    a_ord, b_ord = a._orders, b._orders
     gens = a.generating_sequence()
-    sizes = [len(a.closure(gens[: t + 1])) for t in range(len(gens))]
-    pair_orders = [[a_ord[a.mul(u, g)] for u in gens[:t]] for t, g in enumerate(gens)]
-    candidates = [[y for y in range(b.order) if b_ord[y] == a_ord[g]] for g in gens]
+    sizes = {t: len(a.closure(gens[: t + 1])) for t in range(1, len(gens) - 1)}
+    pairs = [[a._pair_orders(u, g) for u in gens[:t]] for t, g in enumerate(gens)]
+    candidates = [[y for y in range(b.order) if b._orders[y] == a._orders[g]] for g in gens]
 
     def search(t: int, imgs: list[int]) -> bool:
         if t == len(gens):
             return _extend_isomorphism(a, b, gens, imgs) is not None
         for y in candidates[t]:
-            if any(b_ord[b.mul(h, y)] != k for h, k in zip(imgs, pair_orders[t])):
+            if any(b._pair_orders(h, y) != k for h, k in zip(imgs, pairs[t])):
                 continue
             imgs.append(y)
-            full = t + 1 == len(gens)  # then the leaf's bijection check sizes it
-            if (full or len(b.closure(imgs)) == sizes[t]) and search(t + 1, imgs):
+            if (t not in sizes or len(b.closure(imgs)) == sizes[t]) and search(t + 1, imgs):
                 return True
             imgs.pop()
         return False

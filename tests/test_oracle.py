@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from unitwreath.construct import verify_wreath
+from unitwreath import construct, oracle
+from unitwreath.construct import check_hypotheses, run_pipeline, verify_wreath
 from unitwreath.grpalg import conjugate_unit
 from unitwreath.oracle import (
     ClosureCapError,
@@ -14,7 +15,7 @@ from unitwreath.oracle import (
     reference_table,
     reference_wreath,
 )
-from unitwreath.pcgroup import load_file
+from unitwreath.pcgroup import closure, load_file
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,24 @@ def small_tables(corpus_dir):
         for d in ("o8", "o16", "o32")
         for p in sorted((corpus_dir / d).glob("*.pc2"))
     }
+
+
+def same_profile_pairs(small_tables):
+    """The pairs of corpus groups of order at most 16 with one order profile."""
+    groups = [(n, g) for n, g in small_tables.items() if g.order <= 16]
+    return [
+        (x, y)
+        for x, y in itertools.combinations(groups, 2)
+        if x[1].order == y[1].order and x[1].order_profile() == y[1].order_profile()
+    ]
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends 1 to the returned list per call."""
+    calls = []
+    function = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+    return calls
 
 
 class TestBfsClosure:
@@ -133,6 +152,14 @@ class TestWreathModel:
         assert all(checks.values()), checks
 
     @pytest.mark.parametrize("s", [1, 2])
+    def test_table_from_generator_rows_is_the_all_pairs_table(self, s):
+        model = reference_wreath(s)
+        elements = model.elements()
+        index = {x: i for i, x in enumerate(elements)}
+        table = [[index[model.mul(x, y)] for y in elements] for x in elements]
+        assert model.to_table_group().table == table
+
+    @pytest.mark.parametrize("s", [1, 2])
     def test_reference_table_is_built_once(self, s):
         assert reference_table(s) is reference_table(s)
         assert reference_table(s).table == reference_wreath(s).to_table_group().table
@@ -188,14 +215,51 @@ class TestGeneratorImageSearch:
             assert isomorphic_small(group, other), name
             assert isomorphic_small(other, group), name
 
+    def test_generating_sequence_is_a_basis(self, small_tables):
+        """d(G) = log2|G : Φ(G)| generators, Φ(G) the closure of the squares,
+        on every table and a relabelling of it, and none can be dropped."""
+        rng = random.Random(2)
+        for name, table in small_tables.items():
+            for group in (table, relabelled(table, rng)):
+                gens = group.generating_sequence()
+                squares = {group.mul(x, x) for x in range(group.order)}
+                frattini = closure(squares, group.mul, group.identity)
+                assert 1 << len(gens) == group.order // len(frattini), name
+                assert len(group.closure(gens)) == group.order, name
+                for i in range(len(gens)):
+                    assert len(group.closure(gens[:i] + gens[i + 1:])) < group.order, name
+
+    def test_generating_sequence_needs_a_2_group(self):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            cyclic_table(6).generating_sequence()
+
     def test_same_profile_groups_are_not_isomorphic(self, small_tables):
-        groups = [(n, g) for n, g in small_tables.items() if g.order <= 16]
-        pairs = [
-            (x, y)
-            for x, y in itertools.combinations(groups, 2)
-            if x[1].order == y[1].order and x[1].order_profile() == y[1].order_profile()
-        ]
+        pairs = same_profile_pairs(small_tables)
         assert len(pairs) == 7
         for (name_a, a), (name_b, b) in pairs:
             assert not isomorphic_small(a, b), (name_a, name_b)
             assert not isomorphic_small(b, a), (name_a, name_b)
+
+    def test_same_profile_groups_are_refuted_in_few_leaves(self, monkeypatch, small_tables):
+        """The commutator orders prune image pairs before the leaf: the 14
+        refutations extend 384 image tuples; the product orders alone let
+        1064 through, and the greedy sequence that preceded the basis 1696."""
+        leaves = counted(monkeypatch, oracle, "_extend_isomorphism")
+        for (_, a), (_, b) in same_profile_pairs(small_tables):
+            assert not isomorphic_small(a, b) and not isomorphic_small(b, a)
+        assert len(leaves) < 400
+
+
+def test_each_section_quotient_is_accepted_at_its_first_leaf(monkeypatch, corpus_dir):
+    """On the 24 qualifying o16/o32 groups, the oracle's search over the
+    basis extends one image tuple per section quotient, and it is an
+    isomorphism onto the reference wreath product."""
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    searches = counted(monkeypatch, construct, "isomorphic_small")
+    leaves = counted(monkeypatch, oracle, "_extend_isomorphism")
+    for k, group in enumerate(passing, start=1):
+        result = run_pipeline(group, use_oracle=True)
+        assert result.section.checks["oracle-isomorphism"], group.name
+        assert (len(searches), len(leaves)) == (k, k), group.name

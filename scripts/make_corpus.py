@@ -75,12 +75,15 @@ def fingerprint(group: FiniteGroup, table: TableGroup):
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
     derived = closure({group.commutator(x, y) for x, y in combinations(gens, 2)},
                       group.multiply, 0)
+    # x^g = g⁻¹·x·g, two lookups in the table's rows and the inverses
+    # order_profile filled
+    rows, inverses = table.table, table._inverses
     class_sizes = []
     seen = set()
     for x in range(group.order):
         if x in seen:
             continue
-        orbit = {group.conjugate(x, g) for g in range(group.order)}
+        orbit = {rows[rows[g_inv][x]][g] for g, g_inv in enumerate(inverses)}
         seen |= orbit
         class_sizes.append(len(orbit))
     center_profile = tuple(sorted(group.element_order(x) for x in center))

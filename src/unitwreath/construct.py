@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import oracle
+from . import kernels, oracle
 from .grpalg import AlgebraElement, GroupAlgebra
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table, table_from_rows
 from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled
@@ -126,19 +126,28 @@ class SectionReport:
 class QuotientGroup:
     """The quotient of the unit group <gens> by a central subgroup, the kernel.
 
-    A coset is named by its member of least (support size, bitset), and the
-    cosets are indexed in the order of those representatives, so the
-    identity's coset is 0.  The closure runs over representatives: each is
-    multiplied on the left by each generator once, and rows[k][i] is the
-    index of gens[k]·reps[i].  Every member of each coset found maps to its
-    representative, so a product lands on its coset in one lookup, and so
-    does index_of.  The reps and the table depend on <gens> alone.
+    The kernel must be made of group elements (units of one-element
+    support), as <a^(2^s)> is.  A coset is named by its member of least
+    (support size, bitset), and the cosets are indexed in the order of
+    those representatives, so the identity's coset is 0.  The closure runs
+    over representatives: each is multiplied on the left by each generator
+    once, and rows[k][i] is the index of gens[k]·reps[i].  A product is
+    one XOR per support element of the representative, through the
+    generator's columns (kernels.apply), and so is a kernel translate y·t,
+    through the column gj ↦ gj·t of the group element t: only the rows of
+    the generators' supports are read.  Every member of each coset found
+    maps to its representative, so a product lands on its coset in one
+    lookup, and so does index_of.  The reps and the table depend on <gens>
+    alone.
     """
 
     def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement],
                  cap: int = oracle.DEFAULT_CAP):
-        conv = gens[0].algebra._conv.convolve
-        shifts = [k.bits for k in kernel if k.bits != 1]
+        algebra, apply = gens[0].algebra, kernels.apply
+        cols = [algebra._conv.columns(g.bits) for g in gens]
+        group = algebra.group
+        shifts = [[1 << group.multiply(j, t.bits.bit_length() - 1) for j in group.elements()]
+                  for t in kernel if t.bits != 1]
 
         def key(bits: int) -> tuple[int, int]:
             return bits.bit_count(), bits
@@ -148,10 +157,10 @@ class QuotientGroup:
         self._rep_of = rep_of = {t.bits: 1 for t in kernel}
 
         def left(x: int, k: int) -> int:
-            y = conv(gens[k].bits, x)
+            y = apply(cols[k], x)
             rep = rep_of.get(y)
             if rep is None:  # a new coset: its translates by the kernel, once
-                coset = [y] + [conv(y, t) for t in shifts]
+                coset = [y] + [apply(c, y) for c in shifts]
                 rep = min(coset, key=key)
                 rep_of.update(dict.fromkeys(coset, rep))
             products[k, x] = rep

@@ -3,7 +3,8 @@
 Algebra elements are int bitsets over the group's element index.  The
 product toggles one output bit per (support, support) pair via the left
 operand's multiplication rows, which is the hot loop of every unit-group
-closure.
+closure.  A factor that multiplies many others is turned into its columns
+once, and each product is then one XOR per support element (`apply`).
 """
 
 from __future__ import annotations
@@ -42,3 +43,25 @@ class Convolver:
                 acc ^= 1 << row[j]
             ubits ^= low
         return acc
+
+    def columns(self, ubits: int) -> list[int]:
+        """[u·gj for every j], from the row of each element of u's support.
+
+        For each j the x·gj over x in the support are distinct, so their
+        bits sum without a carry.
+        """
+        if not ubits:
+            return [0] * len(self._rows[0])
+        rows = [self._rows[i] for i in bit_indices(ubits)]
+        return [sum(1 << y for y in col) for col in zip(*rows)]
+
+
+def apply(columns: list[int], vbits: int) -> int:
+    """The XOR of columns[j] over j in v's support, by bilinearity u·v for u's
+    columns, and v·t for the columns gj·t of a group element t."""
+    acc = 0
+    while vbits:
+        low = vbits & -vbits
+        acc ^= columns[low.bit_length() - 1]
+        vbits ^= low
+    return acc

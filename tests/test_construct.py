@@ -629,19 +629,43 @@ def test_a_unit_outside_the_section_is_named(k, corpus_dir):
 
 def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
     """build_section on o32_45 closes the quotient from h_0 and a: two
-    products per coset, |K| - 1 kernel translates of each new coset, and a
-    few for the kernel and its centrality; the m + 1 generators took
-    (m + 1)·|Q|."""
+    products per coset and |K| - 1 kernel translates of each coset but the
+    kernel's own, every one a kernels.apply over columns; the m + 1
+    generators took (m + 1)·|Q| convolutions."""
     algebra, w, base, orbit, base_checks = o32_45_section_inputs(corpus_dir)
     calls = []
-    convolve = kernels.Convolver.convolve
-    monkeypatch.setattr(
-        kernels.Convolver, "convolve", lambda self, u, v: calls.append(1) or convolve(self, u, v)
-    )
+    apply = kernels.apply
+    monkeypatch.setattr(kernels, "apply", lambda cols, v: calls.append(1) or apply(cols, v))
     section = build_section(algebra, w, base, orbit, use_oracle=False, base_checks=base_checks)
     q, k = section.quotient_order, section.kernel_order
-    assert (len(orbit.units), q, section.verdict) == (4, 64, True)
-    assert len(calls) <= 2 * q + q * (k - 1) + 8
+    assert (len(orbit.units), q, k, section.verdict) == (4, 64, 2, True)
+    assert len(calls) == 2 * q + (q - 1) * (k - 1)
+
+
+class RecordedRows:
+    """A row store that records the elements whose rows are read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, set()
+
+    def __getitem__(self, x):
+        self.read.add(x)
+        return self.rows[x]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_quotient_reads_only_the_rows_of_its_generators(monkeypatch, n, dihedral_times_c2):
+    """On D16 x C2 and D32 x C2 QuotientGroup(h_0, a) reads from the
+    algebra's RowStore the rows of supp(h_0) ∪ {a} and no other."""
+    result = run_pipeline(load(dihedral_times_c2(n)), use_oracle=False)
+    h0, w = result.orbit.units[0], result.witness
+    algebra = h0.algebra
+    kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
+    recorded = RecordedRows(algebra._conv._rows)
+    monkeypatch.setattr(algebra._conv, "_rows", recorded)
+    quotient = QuotientGroup([h0, algebra.embed(w.a)], kernel)
+    assert quotient.order == result.section.quotient_order == 1 << ((1 << w.s) + w.s)
+    assert recorded.read == set(h0.support()) | {w.a}
 
 
 # C2 wr C4 in coordinates (v, t), v a 4-bit base vector and t a shift: each

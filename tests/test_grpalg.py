@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from unitwreath.grpalg import (
     inverse_unit,
     unit_order,
 )
+from unitwreath.pcgroup import load, load_file
 
 
 def bits_strategy(order):
@@ -217,3 +220,25 @@ class TestKernel:
                 if u >> x & 1 and v >> y & 1:
                     expected ^= 1 << d8xc2.multiply(x, y)
         assert conv.convolve(u, v) == expected
+
+
+def kernel_groups(corpus_dir, dihedral_times_c2):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    return [load_file(p) for p in paths] + [load(dihedral_times_c2(n)) for n in (4, 5, 6)]
+
+
+def test_columns_then_apply_is_convolve(corpus_dir, dihedral_times_c2):
+    """apply(columns(u), v) = u·v, and apply over the columns gj ↦ gj·t is
+    v·t, on every o16/o32 group and D_(2^n) x C2 for n = 4..6, for u = 0, 1
+    and random u, v and t; the rows are each algebra's own RowStore."""
+    rng = random.Random(19)
+    groups = kernel_groups(corpus_dir, dihedral_times_c2)
+    assert len(groups) == 14 + 51 + 3
+    for group in groups:
+        conv = GroupAlgebra(group)._conv
+        for u in [0, 1] + [rng.getrandbits(group.order) for _ in range(4)]:
+            v = rng.getrandbits(group.order)
+            assert kernels.apply(conv.columns(u), v) == conv.convolve(u, v), group.name
+            t = rng.randrange(group.order)
+            right = [1 << group.multiply(j, t) for j in group.elements()]
+            assert kernels.apply(right, v) == conv.convolve(v, 1 << t), group.name

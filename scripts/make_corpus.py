@@ -13,17 +13,16 @@ Run from the repository root:  python3 scripts/make_corpus.py
 
 import sys
 import time
-from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from unitwreath.construct import check_hypotheses
 from unitwreath.oracle import TableGroup, isomorphic_small
 from unitwreath.pcgroup import (
     ConsistencyError,
     FiniteGroup,
     PcPresentation,
-    closure,
     load,
     serialize_presentation,
 )
@@ -71,10 +70,8 @@ def extensions(parent: PcPresentation):
 def fingerprint(group: FiniteGroup, table: TableGroup):
     """Cheap exact-invariant tuple used to bucket isomorphism candidates."""
     profile = table.order_profile()
-    center = group.center()
-    gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
-    derived = closure({group.commutator(x, y) for x, y in combinations(gens, 2)},
-                      group.multiply, 0)
+    report = check_hypotheses(group)
+    center, derived = report.center, report.derived
     # x^g = g⁻¹·x·g, two lookups in the table's rows and the inverses
     # order_profile filled
     rows, inverses = table.table, table._inverses

@@ -51,6 +51,7 @@ class HypothesisReport:
     derived_order: int
     derived_cyclic: bool
     derived_generator: int | None  # c with G' = <c>, when G' is cyclic
+    derived: tuple[int, ...]  # c^0, ..., c^(m-1) when G' = <c>, else G' sorted
     nonabelian: bool
     center: tuple[int, ...]
     center_order: int
@@ -181,35 +182,53 @@ class QuotientGroup:
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
-    """Test the hypotheses and list candidate central involutions; G is abelian iff G' = 1.
+    """Test the hypotheses and list G', Z(G) and the candidate central involutions.
 
-    The commutators (gi, gj) of the pc generators generate G'.  Down k:
-    let those with i, j > k generate G_(k+1)', and H be generated by them
-    and the (gk, gj), all in G_(k+1).  G_(k+1)' is characteristic in
-    G_(k+1), so normal in G_k, and modulo it G_(k+1) is abelian: its
-    elements fix H under conjugation, and x ↦ (x, gk) is a homomorphism on
-    it, so h^gk = h·(h, gk) lies in H, a product of (gl, gk).  H is normal
-    in G_k with an abelian quotient, so H = G_k'.
+    G is abelian iff G' = 1.  The commutators (gi, gj) of the pc generators
+    generate G'.  Down k: let those with i, j > k generate G_(k+1)', and H
+    be generated by them and the (gk, gj), all in G_(k+1).  G_(k+1)' is
+    characteristic in G_(k+1), so normal in G_k, and modulo it G_(k+1) is
+    abelian: its elements fix H under conjugation, and x ↦ (x, gk) is a
+    homomorphism on it, so h^gk = h·(h, gk) lies in H, a product of
+    (gl, gk).  H is normal in G_k with an abelian quotient, so H = G_k'.
 
     So G' is cyclic exactly when every (gi, gj) lies in <c>, c the one of
     largest order (the least index among ties): the subgroups of a cyclic
-    2-group form a chain.  Only a failing test lists G', as the closure of
-    the (gi, gj), for its order and the candidates outside it.
+    2-group form a chain.  <c> is listed once, by m products, and only a
+    failing test lists G' as the closure of the (gi, gj).
+
+    Z(G) is filtered against the generators that lead no gi^2 and no
+    (gi, gj).  A gk that leads (is the first letter of) one of those words
+    lies in Φ(G)·G_(k+1), Φ(G) = G^2·G' the Frattini subgroup.  By
+    induction down k the other generators generate G modulo Φ(G), so they
+    generate G (Burnside's basis theorem).  Each is tested by its doubled
+    row against its table.
     """
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
     comms = {group.commutator(x, y) for x, y in combinations(gens, 2)}
     c = max(sorted(comms), key=group.element_order, default=0)
-    derived, c_e = {0}, c  # <c>, m products
+    derived, c_e = [0], c  # <c> in order, m products
     while c_e:
-        derived.add(c_e)
+        derived.append(c_e)
         c_e = group.multiply(c_e, c)
-    cyclic = comms <= derived
+    members = set(derived)
+    cyclic = comms <= members
     if not cyclic:
-        derived, c = closure(comms, group.multiply, 0), None
+        members = closure(comms, group.multiply, 0)
+        derived, c = sorted(members), None
     nonabelian = len(derived) > 1
-    center = group.center()
+
+    right = group.right
+    words = comms | {right[j][g] for j, g in enumerate(gens, start=1)}
+    leaders = {w.bit_length() for w in words}  # gk's bit length is n + 1 - k
+    center = group.elements()
+    for j, g in enumerate(gens, start=1):
+        if g.bit_length() not in leaders:
+            row, table = doubled(right, 0, g), right[j]
+            center = [x for x in center if row[x] == table[x]]
+    center = tuple(center)
     candidates = tuple(
-        x for x in center if group.element_order(x) == 2 and x not in derived
+        x for x in center if group.element_order(x) == 2 and x not in members
     )
     reason = None
     if not nonabelian:
@@ -222,6 +241,7 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
         derived_order=len(derived),
         derived_cyclic=cyclic,
         derived_generator=c,
+        derived=tuple(derived),
         nonabelian=nonabelian,
         center=center,
         center_order=len(center),
@@ -238,13 +258,11 @@ def _commutator_exponents(group: FiniteGroup, report: HypothesisReport):
     (Robinson, A Course in the Theory of Groups, 5.1.5) gives
     E[w·g] = E[g] + k_g·E[w] mod m: b's table doubles over x's last letter,
     through one list of m entries per generator.  The logarithms c^e ↦ e
-    take m products and the k_g one conjugation each, once per search.
+    are read off the report's powers of c, and the k_g take one
+    conjugation each, once per search.
     """
     m, c = report.derived_order, report.derived_generator
-    log, c_e = {}, 0
-    for e in range(m):
-        log[c_e] = e
-        c_e = group.multiply(c_e, c)
+    log = {c_e: e for e, c_e in enumerate(report.derived)}
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
     k = [log[group.conjugate(c, g)] for g in gens]
 

@@ -14,10 +14,10 @@ x = H·L with H on letters <= j and L in G_(j+1) gives x·gj = H·gj·L^gj
 (Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Besides the
 tables the group keeps only its inverses: a left-multiplication row
 y ↦ x·y is doubled over the tables by whatever reads it, and the group
-algebra alone keeps the rows it convolves with.  No subgroup is closed
-here: the center is filtered against the few generators that lead no
-square or commutator, and G' is read off the generators' commutators by
-the hypothesis check.
+algebra alone keeps the rows it convolves with.  FiniteGroup closes and
+filters no subgroup: the hypothesis check (construct.check_hypotheses)
+reads G' off the generators' commutators and filters Z(G) against the
+few generators that lead no square or commutator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
 from pathlib import Path
 
 
@@ -273,9 +272,9 @@ class FiniteGroup:
     All operations are pure.  Construction builds `right`, right[j][x] = x·gj
     (n·order entries), then proves the presentation consistent by the
     overlap test, so that the tables hold the products of a group of order
-    2^n.  `multiply` reads y's letters off the tables; the center and
-    `cayley` double the rows they read and keep none of them.  Inverses are
-    memoized, and nothing else is kept.
+    2^n.  `multiply` reads y's letters off the tables; `cayley` doubles the
+    rows it reads and keeps none of them.  Inverses are memoized, and
+    nothing else is kept.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -351,10 +350,6 @@ class FiniteGroup:
 
     # --- core operations ------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -405,28 +400,6 @@ class FiniteGroup:
             x = self.multiply(x, x)
             order <<= 1
         return order
-
-    # --- center ---------------------------------------------------------
-
-    def center(self) -> tuple[int, ...]:
-        """Z(G): the x with g·x = x·g for the generators that lead no gi^2 and no (gi, gj).
-
-        A gk that leads (is the first letter of) the collected gi^2 or
-        (gi, gj) lies in Φ(G)·G_(k+1), Φ(G) = G^2·G' the Frattini subgroup.
-        By induction down k the other generators generate G modulo Φ(G), so
-        they generate G (Burnside's basis theorem).  Each is tested by its
-        doubled row against its table.
-        """
-        gens = [1 << (self.n - j) for j in range(1, self.n + 1)]
-        words = [self.right[j][g] for j, g in enumerate(gens, start=1)]
-        words += [self.commutator(x, y) for x, y in combinations(gens, 2)]
-        leaders = {w.bit_length() for w in words}  # gk's bit length is n + 1 - k
-        central = self.elements()
-        for j, g in enumerate(gens, start=1):
-            if g.bit_length() not in leaders:
-                row = doubled(self.right, 0, g)
-                central = [x for x in central if row[x] == self.right[j][x]]
-        return tuple(central)
 
     # --- names and words ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import unitwreath
-from unitwreath import oracle
+from unitwreath import construct, oracle
 from unitwreath.catalog import default_corpus_dir
 from unitwreath.cli import main
 
@@ -262,6 +262,9 @@ class TestVerify:
             ("a=,b=b,z=z", "witness key 'a' has an empty word"),
             ("a=a,b= ,z=z", "witness key 'b' has an empty word"),
             ("a=a,b=b,z= * ", "witness key 'z' has an empty word"),
+            ("a=a,b,z=z", "bad witness component 'b'"),
+            ("a=a,b=b", "witness override missing ['z']"),
+            ("a=a,b=q,z=z", "unknown generator 'q' in word 'q'"),
         ],
     )
     def test_witness_key_errors_exit_3(self, capsys, d8xc2_path, spec, message):
@@ -294,6 +297,16 @@ class TestVerify:
 def test_sweep_json_is_pinned(capsys, directory, flags, digest):
     code, out, err = run(capsys, "verify", str(default_corpus_dir() / directory), "--json", *flags)
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_check_json_over_the_corpus_is_pinned(capsys):
+    """check --json on each of the 73 corpus files, in sorted order: the
+    hypothesis reports of the groups that the sweeps above do not pin."""
+    paths = sorted(default_corpus_dir().rglob("*.pc2"))
+    assert len(paths) == 73
+    out = "".join(run(capsys, "check", str(path), "--json")[1] for path in paths)
+    digest = "6607cfbc9b214d9b77d7db0d67f8bcd1df13af5f24e6d910e3b89e4462c858bd"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -332,6 +345,84 @@ class TestScan:
         (tmp_path / "bad.pc2").write_text("group X\ngens a\npow a = q\n")
         code, out, _ = run(capsys, "scan", str(tmp_path), "--json")
         assert code == 3
+
+
+class TestText:
+    """The text that verify, scan and model print without --json."""
+
+    def test_verify_a_passing_file(self, capsys, d8xc2_path):
+        code, out, err = run(capsys, "verify", d8xc2_path, "--oracle")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        start = lines.index("  witness: a = a, b = b, z = z  (s = 1, k = 2)")
+        assert lines[start + 1:] == [
+            "  orbit of h = 1 + b(1+z) under conjugation by a:",
+            "    h^(a^0) = 1 + b + b·z",
+            "    h^(a^1) = 1 + c·b + c·b·z",
+            "  base |X| = 4, ambient |<X,a>| = 16, kernel = 2, section = 8",
+            *(f"    {name:<34} ok" for name in construct.CHECK_NAMES),
+            "  verdict: pass",
+        ]
+
+    def test_verify_and_scan_a_directory(self, capsys, corpus_dir, tmp_path):
+        """verify <dir> prints scan's census, then each passing pipeline."""
+        code, out, err = run(capsys, "verify", str(corpus_dir / "o16"))
+        assert (code, err) == (0, "")
+        _, census, _ = run(capsys, "scan", str(corpus_dir / "o16"))
+        assert out.startswith(census + "group D8xC2 of order 16\n")
+        assert out.count("  verdict: pass\n") == 4 and out.endswith("\nsweep verdict: pass\n")
+        lines = census.splitlines()
+        assert len(lines) == 15
+        assert lines[:3] == [
+            "order 16: 4 of 14 groups satisfy the hypotheses",
+            "  D8xC2        pass  s=1",
+            "  o16_01       fail  abelian",
+        ]
+        (tmp_path / "bad.pc2").write_text("group X\ngens a\npow a = q\n")
+        code, out, _ = run(capsys, "scan", str(tmp_path))
+        assert code == 3
+        assert out.startswith(f"  ERROR bad: {tmp_path / 'bad.pc2'}:line 3: unknown generator 'q'")
+
+    def test_model(self, capsys):
+        code, out, _ = run(capsys, "model", "1")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "C2 wr C2: order 8"
+        _, dump, _ = run(capsys, "model", "1", "--json")
+        assert [list(map(int, line.split())) for line in lines[1:]] == json.loads(dump)["table"]
+
+
+class TestPipelineErrors:
+    """The error a pipeline records, for each way a run can stop short."""
+
+    def test_a_hypothesis_failure(self, capsys):
+        code, out, err = run(capsys, "verify", D8, "--json")
+        data = json.loads(out)
+        assert (code, err) == (1, "")
+        assert data["error"] == "hypotheses fail: no-central-involution-outside-derived"
+        assert "witness" not in data and data["verdict"] == "fail"
+
+    def test_a_construction_shown_false(self, capsys, monkeypatch, d8xc2_path):
+        def refute(algebra, w):
+            raise construct.ConstructionError("orbit refuted")
+
+        monkeypatch.setattr(construct, "build_orbit", refute)
+        code, out, err = run(capsys, "verify", d8xc2_path, "--json")
+        data = json.loads(out)
+        assert (code, err) == (2, "")
+        assert data["error"] == "orbit refuted" and data["verdict"] == "fail"
+        assert data["witness"]["b"] == "b"
+        assert "orbit" not in data and "section" not in data
+
+    def test_an_exhausted_witness_search(self, capsys, monkeypatch, d8xc2_path):
+        monkeypatch.setattr(construct, "_qualifies", lambda *args: False)
+        code, out, err = run(capsys, "verify", d8xc2_path, "--json")
+        data = json.loads(out)
+        assert (code, err) == (2, "")
+        assert data["error"] == (
+            "D8xC2: no (b, a) pair generates the derived subgroup with "
+            "(b, a^(2^1)) = 1 and 2^1 distinct commutators"
+        )
+        assert "witness" not in data and "section" not in data
 
 
 class TestModel:

@@ -8,7 +8,7 @@ from conftest import (
     qualifying_presentations,
     twisted_presentations,
 )
-from unitwreath import construct, kernels, pcgroup
+from unitwreath import construct, kernels
 from unitwreath.cli import _dump
 from unitwreath.construct import (
     REASON_ABELIAN,
@@ -258,13 +258,14 @@ def test_the_search_matches_a_brute_force_scan(pres, data):
 
 
 def brute_force_hypotheses(group):
-    """|G'| from the closure of every commutator, Z(G) by all-pairs commutation."""
+    """G' as the closure of every commutator, Z(G) by all-pairs commutation."""
     elements = group.elements()
     derived = closure({group.commutator(x, y) for x in elements for y in elements},
                       group.multiply, 0)
     center = tuple(x for x in elements
                    if all(group.multiply(x, y) == group.multiply(y, x) for y in elements))
     return {
+        "derived": derived,
         "derived_order": len(derived),
         "derived_cyclic": any(group.element_order(x) == len(derived) for x in derived),
         "center": center,
@@ -283,17 +284,32 @@ def brute_force_hypotheses(group):
 @example(parse_presentation("group D8\ngens a c b\npow a = c\nconj b a = b c\n"))
 @given(twisted_presentations())
 def test_the_hypotheses_match_brute_force(pres):
-    """|G'|, its cyclicity, Z(G) and the candidates z read off the pc
-    generators equal those of every element; a cyclic G' is <c>."""
     try:
         group = load(serialize_presentation(pres))
     except ConsistencyError:
         return
+    assert_hypotheses_match_brute_force(group)
+
+
+def test_the_corpus_hypotheses_match_brute_force(corpus_dir):
+    paths = sorted(corpus_dir.rglob("*.pc2"))
+    assert len(paths) == 73
+    for path in paths:
+        assert_hypotheses_match_brute_force(load_file(path))
+
+
+def assert_hypotheses_match_brute_force(group):
+    """G', its cyclicity, Z(G) and the candidates z read off the pc
+    generators equal those of every element; a cyclic G' is listed as
+    c^0, ..., c^(m-1)."""
     report = check_hypotheses(group)
     expected = brute_force_hypotheses(group)
-    assert {key: getattr(report, key) for key in expected} == expected
+    assert set(report.derived) == expected.pop("derived"), group.name
+    assert {key: getattr(report, key) for key in expected} == expected, group.name
     if report.derived_cyclic:
-        assert group.element_order(report.derived_generator) == report.derived_order
+        c, m = report.derived_generator, report.derived_order
+        assert group.element_order(c) == m
+        assert list(report.derived) == [group.power(c, e) for e in range(m)]
 
 
 def refuse_closure(*args, **kwargs):
@@ -314,22 +330,41 @@ def test_qualifying_corpus_groups_list_no_subgroup(monkeypatch, corpus_dir):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 15])
 def test_the_ladder_hypotheses_list_no_subgroup(monkeypatch, n, dihedral_times_c2):
     """D_(2^n) x C2 up to order 65,536: no closure lists G' = <r2>, and
-    center doubles the rows of r1, t and c alone, since r2, ..., r(n-1)
-    lead the squares and commutators."""
+    the center's filter doubles the rows of r1, t and c alone, since
+    r2, ..., r(n-1) lead the squares and commutators."""
     group = load(dihedral_times_c2(n))
-    rows, doubled = [], pcgroup.doubled
+    rows, doubled = [], construct.doubled
 
     def counted(right, j, start, *word):
         rows.append(start)
         return doubled(right, j, start, *word)
 
-    monkeypatch.setattr(pcgroup, "doubled", counted)
+    monkeypatch.setattr(construct, "doubled", counted)
     monkeypatch.setattr(construct, "closure", refuse_closure)
     report = check_hypotheses(group)
     assert [group.word_str(x) for x in rows] == ["r1", "t", "c"]
     assert report.passed and report.derived_order == 1 << (n - 2)
     assert report.center_order == 4
     assert [group.word_str(z) for z in report.candidates_z] == ["c", f"r{n - 1}·c"]
+
+
+def test_the_hypotheses_and_the_search_reuse_the_commutators(monkeypatch, dihedral_times_c2):
+    """D32 x C2 (n = 6 generators, |G'| = m = 8): check_hypotheses makes
+    each of the n(n-1)/2 = 15 generator commutators once, and setting up
+    the witness search reads the logarithms c^e ↦ e off the report, so it
+    makes only the n conjugations' 12 products (the inverses are memoized)."""
+    group = load(dihedral_times_c2(5))
+    calls = []
+    for name in ("commutator", "multiply"):
+        method = getattr(group, name)
+        monkeypatch.setattr(group, name, lambda *args, method=method, name=name:
+                            calls.append(name) or method(*args))
+    report = check_hypotheses(group)
+    assert (group.n, report.derived_order) == (6, 8)
+    assert calls.count("commutator") == 15
+    calls.clear()
+    _commutator_exponents(group, report)
+    assert calls == ["multiply"] * 12
 
 
 def assert_units_are_iterated_conjugates(units, a):
@@ -456,10 +491,18 @@ class TestBaseGroup:
             # commuting involutions, but (1 + z)(1 + c) = 1 + z + c + z·c is not 0
             pytest.param(["z", "c"], r"x_i·x_j ≠ 0 or supports meet at \[\(0, 1\)\]",
                          id="nonzero-product"),
+            # x = a, and a·a = c is not 0
+            pytest.param(["1+a"], r"orbit members at positions \[0\] are not of order 2",
+                         id="not-an-involution"),
+            # x_0 = z + b and x_1 = z + a·b square to 0, but x_0·x_1 ≠ x_1·x_0
+            pytest.param(["1+z+b", "1+z+a*b"], r"orbit members at \[\(0, 1\)\] do not commute",
+                         id="noncommuting"),
         ],
     )
     def test_degenerate_orbits_rejected(self, d8xc2, d8xc2_algebra, words, message):
-        units = tuple(d8xc2_algebra.embed(d8xc2.parse_word(w)) for w in words)
+        """Each unit is given as the sum of the words between its '+' signs."""
+        units = tuple(d8xc2_algebra.from_support(map(d8xc2.parse_word, w.split("+")))
+                      for w in words)
         with pytest.raises(ConstructionError, match=message):
             verify_base_group(BaseOrbit(units=units))
 

@@ -15,6 +15,7 @@ from unitwreath.pcgroup import (
     ConsistencyError,
     ConstraintError,
     ParseError,
+    PcError,
     PcPresentation,
     TableLimitError,
     load,
@@ -60,33 +61,80 @@ class TestLoad:
             load(bad)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, error, message",
         [
-            "gens a\n",  # missing group line
-            "group X\n",  # missing gens
-            "group X\ngens a a\n",  # duplicate generator
-            "group X\ngens a\npow q = a\n",  # unknown generator
-            "group X\ngens a\nfrob a\n",  # unknown keyword
-            "group X\ngens a b\npow a = b\npow a = b\n",  # duplicate relation
-            "group X\ngens 1 a\npow a = 1\n",  # a generator named as the identity
-            "group X\ngens a b*c\n",  # names that words cannot refer to
-            "group X\ngens a·b c\n",
-            "group X\ngens a,b\n",
-            "group X\ngens a=b\n",
+            pytest.param(text, error, message, id=text)
+            for text, error, message in [
+                ("gens a\n", ParseError, "<input>: missing group line"),
+                ("group X\n", ParseError, "<input>: missing gens line"),
+                ("group X\ngens a a\n", ParseError, "line 2: duplicate generator names"),
+                ("group X\ngens a\npow q = a\n", ParseError, "line 3: unknown generator 'q'"),
+                ("group X\ngens a\nfrob a\n", ParseError, "line 3: unknown keyword 'frob'"),
+                ("group X\ngens a b\npow a = b\npow a = b\n", ParseError,
+                 "line 4: duplicate pow for a"),
+                # a generator named as the identity
+                ("group X\ngens 1 a\npow a = 1\n", ParseError, "line 2: generator name '1'"),
+                # names that words cannot refer to
+                ("group X\ngens a b*c\n", ParseError, "line 2: generator name 'b*c'"),
+                ("group X\ngens a·b c\n", ParseError, "line 2: generator name 'a·b'"),
+                ("group X\ngens a,b\n", ParseError, "line 2: generator name 'a,b'"),
+                ("group X\ngens a=b\n", ParseError, "line 2: generator name 'a=b'"),
+                ("group X\ngroup Y\ngens a\n", ParseError, "line 2: duplicate group line"),
+                ("group X\ngens a\ngens b\n", ParseError, "line 3: duplicate gens line"),
+                ("group X Y\ngens a\n", ParseError, "line 1: expected 'group <name>'"),
+                ("group X\ngens\n", ParseError, "line 2: expected generator names"),
+                ("group X\npow a = 1\ngens a\n", ParseError, "line 2: pow before gens"),
+                ("group X\nconj b a = b\ngens a b\n", ParseError, "line 2: conj before gens"),
+                ("group X\ngens a\npow a b\n", ParseError,
+                 "line 3: expected 'pow <g> = <word>'"),
+                ("group X\ngens a b\nconj b a b\n", ParseError,
+                 "line 3: expected 'conj <gj> <gi> = <word>'"),
+                ("group X\ngens a\npow a =\n", ParseError, "line 3: empty right-hand side"),
+                ("group X\ngens a b\nconj b a =\n", ParseError,
+                 "line 3: empty right-hand side"),
+                ("group X\ngens a b\nconj b q = b\n", ParseError,
+                 "line 3: unknown generator 'q'"),
+                ("group X\ngens a b\nconj a b = a\n", ConstraintError,
+                 "line 3: conj a b requires b before a in gens order"),
+                ("group X\ngens a b\nconj b a = b\nconj b a = b\n", ParseError,
+                 "line 4: duplicate conj for (b,a)"),
+                # the word 1 parses to the identity, which is no conjugate of b
+                ("group X\ngens a b\npow a = 1\nconj b a = 1\n", ConstraintError,
+                 "X: conjugation word for (1,2) must begin with g2"),
+            ]
         ],
     )
-    def test_parse_errors(self, text):
-        with pytest.raises(ParseError):
+    def test_parse_errors(self, text, error, message):
+        with pytest.raises(PcError) as info:
             load(text)
+        assert type(info.value) is error and message in str(info.value)
 
     def test_a_bad_generator_name_is_reported_with_its_line(self):
         with pytest.raises(ParseError, match=r"^<input>:line 3: generator name '1' "):
             load("# a comment\ngroup X\ngens a 1\n")
 
-    @pytest.mark.parametrize("gens", [("1", "a"), ("a*b", "c")])
-    def test_a_presentation_built_in_code_keeps_the_name_rule(self, gens):
-        pres = PcPresentation(name="X", gens=gens, powers={1: (2,)})
-        with pytest.raises(ParseError, match=r"^X: generator name '(1|a\*b)' is '1' or holds"):
+    @pytest.mark.parametrize(
+        "gens, relations, error, message",
+        [
+            pytest.param(("1", "a"), {"powers": {1: (2,)}}, ParseError,
+                         r"^X: generator name '1' is '1' or holds", id="gens0"),
+            pytest.param(("a*b", "c"), {"powers": {1: (2,)}}, ParseError,
+                         r"^X: generator name 'a\*b' is '1' or holds", id="gens1"),
+            pytest.param((), {}, ParseError, r"^X: no generators declared$", id="no-gens"),
+            pytest.param(("a", "b"), {"powers": {3: ()}}, ConstraintError,
+                         r"^X: pow index 3 out of range$", id="pow-index"),
+            pytest.param(("a", "b"), {"conjugations": {(2, 1): (1,)}}, ConstraintError,
+                         r"^X: conjugation pair \(2,1\) requires i < j$", id="conj-pair"),
+            pytest.param(("a", "b", "c"), {"conjugations": {(1, 2): (3,)}}, ConstraintError,
+                         r"^X: conjugation word for \(1,2\) must begin with g2$", id="conj-word"),
+        ],
+    )
+    def test_a_presentation_built_in_code_keeps_the_name_rule(self, gens, relations, error,
+                                                              message):
+        """validate holds a presentation built in code to the parser's rules:
+        the generator names, and the indices of its relations."""
+        pres = PcPresentation(name="X", gens=gens, **relations)
+        with pytest.raises(error, match=message):
             pcgroup.FiniteGroup(pres)
 
     def test_serialize_round_trip(self, d8xc2):
@@ -161,19 +209,19 @@ class TestSubgroups:
         assert (report.derived_order, report.derived_cyclic, report.derived_generator) == (1, True, 0)
 
     def test_center(self, d8xc2, d8):
-        assert d8.center() == (0, elt(d8, "c"))
+        assert check_hypotheses(d8).center == (0, elt(d8, "c"))
         assert check_hypotheses(d8).center_order == 2
-        center = d8xc2.center()
+        center = check_hypotheses(d8xc2).center
         assert len(center) == check_hypotheses(d8xc2).center_order == 4
         assert elt(d8xc2, "z") in center
         # D8 x C2 again: a^2 = b b collects to 1, so b leads no square and
         # its row must be tested; the word's first letter is not a leader
         group = load("group D8xC2\ngens a b c z\npow a = b b\nconj b a = b c\n")
-        assert group.center() == tuple(elt(group, w) for w in ("1", "z", "c", "c*z"))
+        assert check_hypotheses(group).center == tuple(elt(group, w) for w in ("1", "z", "c", "c*z"))
 
     def test_center_of_abelian_group(self):
         group = load("group C2xC2\ngens a b\n")
-        assert group.center() == (0, 1, 2, 3)
+        assert check_hypotheses(group).center == (0, 1, 2, 3)
         assert check_hypotheses(group).center_order == 4
 
     def test_subgroup_closure(self, d8xc2):
@@ -184,7 +232,7 @@ class TestSubgroups:
 
     def test_closure_is_conjugation_stable_for_derived_and_center(self, d8xc2):
         c = check_hypotheses(d8xc2).derived_generator
-        for members in pcgroup.closure([c], d8xc2.multiply, 0), set(d8xc2.center()):
+        for members in pcgroup.closure([c], d8xc2.multiply, 0), set(check_hypotheses(d8xc2).center):
             for x in members:
                 for g in d8xc2.elements():
                     assert d8xc2.conjugate(x, g) in members

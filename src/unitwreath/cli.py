@@ -2,13 +2,15 @@
 
 Subcommands: check, verify, scan, model.  Exit codes:
 0 success/pass, 1 hypothesis failure, 2 verification failure, 3 input or
-usage error, or a resource limit (the table limit or the closure cap).
+usage error, or a resource limit (the table limit or the closure cap),
+141 (128 + SIGPIPE) when stdout's reader closed early, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ EXIT_PASS = 0
 EXIT_HYPOTHESIS = 1
 EXIT_VERIFY = 2
 EXIT_INPUT = 3
+EXIT_PIPE = 141
 
 
 def _dump(obj: dict) -> str:
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
@@ -263,6 +266,22 @@ def main(argv=None) -> int:
             FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def main(argv=None) -> int:
+    try:
+        try:
+            code = _run(argv)
+        except SystemExit:  # argparse's --help and usage errors
+            sys.stdout.flush()
+            raise
+        sys.stdout.flush()  # a pipe is block-buffered: a closed reader shows here at the latest
+        return code
+    except BrokenPipeError:
+        # as the Python docs advise: point stdout at devnull, so that the
+        # flush at interpreter exit does not fail on the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

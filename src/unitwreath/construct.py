@@ -251,47 +251,40 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     )
 
 
-def _commutator_exponents(group: FiniteGroup, report: HypothesisReport):
-    """The map b ↦ [E[x] for every x], where (b, x) = c^E[x] and G' = <c>.
+def _parity_masks(group: FiniteGroup, report: HypothesisReport):
+    """(mask_of, neg): the map b ↦ mask(b), and the generators g with k_g ≡ 3 mod 4.
 
-    c^g = c^k_g for each generator g, so (b, w·g) = (b, g)·(b, w)^g
-    (Robinson, A Course in the Theory of Groups, 5.1.5) gives
-    E[w·g] = E[g] + k_g·E[w] mod m: b's table doubles over x's last letter,
-    through one list of m entries per generator.  The logarithms c^e ↦ e
-    are read off the report's powers of c, and the k_g take one
-    conjugation each, once per search.
+    mask(b) is the XOR over b's letters h of row(h), the generators g for
+    which (h, g) = c^e with e odd (see select_witness).  A row is built the
+    first time a letter is read, from a commutator (h, g) for each
+    generator g ≠ h.  The logarithms c^e ↦ e are read off the report's
+    powers of c, and neg takes one conjugation per generator.
     """
-    m, c = report.derived_order, report.derived_generator
-    log = {c_e: e for e, c_e in enumerate(report.derived)}
-    gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
-    k = [log[group.conjugate(c, g)] for g in gens]
+    log = dict(zip(report.derived, range(report.derived_order)))  # c^e ↦ e
+    gens = [1 << i for i in range(group.n)]
+    neg = sum(g for g in gens if log[group.conjugate(report.derived_generator, g)] % 4 == 3)
+    rows: dict[int, int] = {}
 
-    def exponents(b: int) -> list[int]:
-        steps: list = [None]  # steps[j][e] is E[w·gj] when E[w] = e
-        for g, k_g in zip(gens, k):
-            e_g = log[group.commutator(b, g)]
-            steps.append([(e_g + k_g * e) % m for e in range(m)])
-        return doubled(steps, 0, 0)
+    def mask_of(b: int) -> int:
+        mask = 0
+        for h in gens:
+            if b & h:
+                if h not in rows:
+                    rows[h] = sum(g for g in gens if g != h and log[group.commutator(h, g)] % 2)
+                mask ^= rows[h]
+        return mask
 
-    return exponents
+    return mask_of, neg
 
 
-def _qualifies(group: FiniteGroup, exps: list[int], a: int, m: int) -> bool:
-    """Whether (b, a) meets the side conditions, read off b's exponents exps.
+def _qualifies(mask: int, neg: int, a: int) -> bool:
+    """Whether (b, a) meets the side conditions, b given by its mask.
 
-    (b, a) = c^exps[a] generates G' when exps[a] is odd; the (b, a^i) for
-    i < m are distinct when their exponents are; (b, a^m) = 1 when
-    exps[a^m] = 0.
+    (b, a) generates G' when a holds an odd number of mask's letters, and
+    the (b, a^i) for i < m are then distinct with (b, a^m) = 1 when a holds
+    an even number of neg's letters (select_witness gives both proofs).
     """
-    if not exps[a] & 1:
-        return False
-    seen, a_i = set(), 0  # a^i, each one product with a; a's row is not built
-    for _ in range(m):
-        if exps[a_i] in seen:
-            return False
-        seen.add(exps[a_i])
-        a_i = group.multiply(a_i, a)
-    return exps[a_i] == 0
+    return (a & mask).bit_count() % 2 == 1 and (a & neg).bit_count() % 2 == 0
 
 
 def select_witness(
@@ -301,17 +294,47 @@ def select_witness(
 ) -> Witness:
     """First (b, a) pair in canonical order meeting all side conditions.
 
-    The conditions: (b, a) generates the derived subgroup, (b, a^(2^s)) = 1,
-    and the 2^s commutators (b, a^i) are pairwise distinct.  Each is read
-    off b's exponent table, the exponents e of its commutators (b, x) = c^e.
-    z is the first candidate central involution.  An override (a, b, z) is
-    validated against the same conditions.
+    The conditions, with G' = <c> of order m = 2^s: (b, a) generates G',
+    (b, a^m) = 1, and the m commutators (b, a^i), i < m, are pairwise
+    distinct.  The order is b first, then a, each by index.  z is the first
+    candidate central involution.  An override (a, b, z) is validated
+    against the same conditions.
+
+    Write c^g = c^(k_g), k_g odd, and (b, x) = c^(E_b(x)).  The identities
+    (b, w·g) = (b, g)·(b, w)^g and (x·y, g) = (x, g)^y·(y, g) (Robinson, A
+    Course in the Theory of Groups, 5.1.5) give E_b(w·g) = E_b(g) +
+    k_g·E_b(w) and E_(x·y)(g) = k_y·E_x(g) + E_y(g) mod m.  So E_b(x) mod 2
+    is additive over the letters of x and over those of b.  With row(h) the
+    generators g for which E_h(g) is odd, and mask(b) the XOR of row(h)
+    over b's letters h, (b, a) generates G' exactly when a & mask(b) has an
+    odd number of bits.  A central b has mask 0.
+
+    By the first identity E_b(a^i) = E_b(a)·σ_i, with σ_0 = 0 and
+    σ_(i+1) = k_a·σ_i + 1.  When E_b(a) is odd it is a unit mod m, and the
+    other two conditions say that σ_0, ..., σ_(m-1) are distinct: the
+    bijection x ↦ k_a·x + 1 of Z/m has full period m, and then σ_m = 0.  By
+    Hull and Dobell (SIAM Review 4, 1962) that holds, for odd k_a and
+    increment 1, exactly when m = 2 or k_a ≡ 1 mod 4.  k_a is the product
+    of the k_g over a's letters, so with neg the generators whose
+    k_g ≡ 3 mod 4 (none when m = 2), it holds exactly when a & neg has an
+    even number of bits.  Both tests depend on a and mask(b) alone.
+
+    The scan.  mask is linear in b's exponent vector, so the b for which no
+    a qualifies, those with mask(b) in {0, neg}, form a subspace W under
+    XOR (⊕) of indices.  The least b outside W is a generator: with g its
+    top letter, every index below g lies in W, b ⊕ g among them, so g does
+    not, and g <= b.  So b runs over the generators, last first, and no
+    table is built (_parity_masks).  For that b, a qualifying a holds a
+    letter of mask outside neg, or one of mask inside neg and one of neg
+    outside mask, so the least is the lowest letter of the first kind or
+    the sum of the lowest letters of the other two, whichever qualifies and
+    is smaller.
     """
     if not report.passed:
         raise ValueError("select_witness requires a hypothesis-passing group")
     m = report.derived_order
     s = m.bit_length() - 1
-    exponents = _commutator_exponents(group, report)
+    mask_of, neg = _parity_masks(group, report)
 
     if override is not None:
         a, b, z = override
@@ -320,19 +343,17 @@ def select_witness(
                 f"override z = {group.word_str(z)} is not a central involution "
                 "outside the derived subgroup"
             )
-        if not _qualifies(group, exponents(b), a, m):
+        if not _qualifies(mask_of(b), neg, a):
             raise NoWitnessError(
                 f"override pair (b, a) = ({group.word_str(b)}, {group.word_str(a)}) "
                 "violates the witness side conditions"
             )
     else:
         z = report.candidates_z[0]
-        central = set(report.center)
-        for b in group.elements():
-            if b in central:
-                continue  # a central b has (b, a) = 1 for every a
-            exps = exponents(b)
-            a = next((a for a in group.elements() if _qualifies(group, exps, a, m)), None)
+        for b in (1 << i for i in range(group.n)):
+            mask = mask_of(b)
+            one, both, other = (x & -x for x in (mask & ~neg, mask & neg, neg & ~mask))
+            a = min((x for x in (one, both | other) if _qualifies(mask, neg, x)), default=None)
             if a is not None:
                 break
         else:

@@ -32,15 +32,56 @@ def dihedral_times_c2(tmp_path, n: int) -> str:
     return str(path)
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, stdout=subprocess.PIPE, unbuffered=None):
     """The CLI in a child process with a timeout, so that a runaway
-    enumeration fails the test instead of hanging it."""
+    enumeration fails the test instead of hanging it.  unbuffered, when
+    given, sets PYTHONUNBUFFERED: "" leaves stdout block-buffered."""
     src = str(Path(unitwreath.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     return subprocess.run(
         [sys.executable, "-m", "unitwreath.cli", *argv],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=src),
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
     )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["verify", O16], ["verify", O16, "--json"], ["check", D8], ["--help"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
+    """stdout is a pipe whose reader closed before the CLI started, as
+    `verify ... | head -1` leaves it once head has its line.  Block-buffered,
+    the short outputs reach the pipe only at the flush.  Unbuffered, the
+    help text's write fails inside argparse, which drops the error itself
+    (and exits 0) from Python 3.11 on, and raises it on 3.10 (exit 141)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_subprocess(*argv, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    codes = {0, 141} if argv == ["--help"] and unbuffered else {141}
+    assert proc.returncode in codes and proc.stderr == ""
+
+
+def test_an_error_keeps_its_traceback_on_a_closed_stdout(monkeypatch):
+    """Only a finished run (or argparse's exit) flushes stdout: a fault in
+    the run is raised as itself, not as the flush's BrokenPipeError."""
+    class ClosedPipe:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError
+
+    def fault(argv):
+        raise ValueError("fault")
+
+    monkeypatch.setattr("unitwreath.cli._run", fault)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(ValueError, match="fault"):
+        main([])
 
 
 def run(capsys, *argv):

@@ -25,7 +25,7 @@ from unitwreath.construct import (
     select_witness,
     verify_base_group,
     verify_wreath,
-    _commutator_exponents,
+    _parity_masks,
     _qualifies,
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
@@ -109,22 +109,22 @@ class TestWitness:
         assert len(comms) == 1 << w.s
 
     @pytest.mark.parametrize(
-        "m, listed, expected",
+        "mask, neg, a, expected",
         [
-            pytest.param(2, {"a": 1}, True, id="qualifies"),
-            pytest.param(2, {"a": 1, "c": 1}, False, id="b-and-a-to-the-m-do-not-commute"),
-            pytest.param(4, {"a": 1, "c": 2, "a*c": 3}, True, id="four-distinct"),
-            pytest.param(4, {"a": 2, "c": 1, "a*c": 3}, False, id="even"),
-            pytest.param(4, {"a": 1, "c": 1, "a*c": 3}, False, id="repeat"),
+            pytest.param(0b011, 0b100, 0b001, True, id="qualifies"),
+            pytest.param(0b001, 0b110, 0b111, True, id="neg-letters-in-a-pair"),
+            pytest.param(0b000, 0b000, 0b111, False, id="central-b"),
+            pytest.param(0b011, 0b000, 0b000, False, id="identity-a"),
+            pytest.param(0b011, 0b000, 0b100, False, id="a-misses-the-mask"),
+            pytest.param(0b011, 0b000, 0b011, False, id="even-commutator-exponent"),
+            pytest.param(0b011, 0b001, 0b001, False, id="k-a-is-3-mod-4"),
+            pytest.param(0b011, 0b011, 0b010, False, id="mask-equals-neg"),
         ],
     )
-    def test_qualify_reads_a_hand_built_exponent_table(self, d8xc2, m, listed, expected):
-        # a has order 4 with a^2 = c, so a^i for i = 0..4 is 1, a, c, a·c, 1;
-        # the table gives the exponents listed and 0 elsewhere
-        exps = [0] * d8xc2.order
-        for word, e in listed.items():
-            exps[d8xc2.parse_word(word)] = e
-        assert _qualifies(d8xc2, exps, d8xc2.parse_word("a"), m) is expected
+    def test_qualify_reads_hand_built_masks(self, mask, neg, a, expected):
+        # (b, a) generates G' when a holds an odd number of mask's letters,
+        # and the (b, a^i), i < m, run through G' once when an even number of neg's
+        assert _qualifies(mask, neg, a) is expected
 
     def test_requires_passing_report(self, d8):
         report = check_hypotheses(d8)
@@ -195,15 +195,26 @@ class TestOrbit:
 
 
 def assert_exponents_give_the_commutators(group):
-    """c^(E_b[x]) = (b, x) for every x, for the witness's b and each generator."""
+    """For every (b, a): a & mask(b) has odd weight exactly when the
+    commutator (b, a) = c^e, with e read off the powers of c, has e odd;
+    and a & neg has even weight exactly when c^a = c^k with
+    k ≡ 1 mod min(4, m).  Above order 64, b runs over the generators and
+    the witness's b, and a over every element."""
     report = check_hypotheses(group)
-    exponents = _commutator_exponents(group, report)
-    c = report.derived_generator
-    w = select_witness(group, report)
-    for b in [w.b] + [1 << k for k in range(group.n)]:
-        assert [group.power(c, e) for e in exponents(b)] == [
-            group.commutator(b, x) for x in group.elements()
+    m, c = report.derived_order, report.derived_generator
+    log = {group.power(c, e): e for e in range(m)}
+    mask_of, neg = _parity_masks(group, report)
+    bs = group.elements()
+    if group.order > 64:
+        bs = [select_witness(group, report).b] + [1 << k for k in range(group.n)]
+    for b in bs:
+        mask = mask_of(b)
+        assert [(a & mask).bit_count() % 2 for a in group.elements()] == [
+            log[group.commutator(b, a)] % 2 for a in group.elements()
         ], (group.name, group.word_str(b))
+    assert [(a & neg).bit_count() % 2 == 0 for a in group.elements()] == [
+        log[group.conjugate(c, a)] % min(4, m) == 1 for a in group.elements()
+    ], group.name
 
 
 def test_exponents_give_the_commutators_on_the_corpus(corpus_dir):
@@ -217,6 +228,19 @@ def test_exponents_give_the_commutators_on_the_corpus(corpus_dir):
 @pytest.mark.parametrize("n", range(4, 9))
 def test_exponents_give_the_commutators_on_the_ladder(n, dihedral_times_c2):
     assert_exponents_give_the_commutators(load(dihedral_times_c2(n)))
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_full_period_is_k_one_mod_four(s):
+    """Hull and Dobell for x ↦ k·x + 1 mod 2^s, every odd k: the orbit of 0
+    runs through all 2^s residues exactly when k ≡ 1 mod min(4, 2^s)."""
+    m = 1 << s
+    for k in range(1, m, 2):
+        orbit, x = set(), 0
+        while x not in orbit:
+            orbit.add(x)
+            x = (k * x + 1) % m
+        assert (len(orbit) == m) is (k % min(4, m) == 1), (s, k)
 
 
 def brute_force_qualifies(group, m, a, b):
@@ -350,9 +374,11 @@ def test_the_ladder_hypotheses_list_no_subgroup(monkeypatch, n, dihedral_times_c
 
 def test_the_hypotheses_and_the_search_reuse_the_commutators(monkeypatch, dihedral_times_c2):
     """D32 x C2 (n = 6 generators, |G'| = m = 8): check_hypotheses makes
-    each of the n(n-1)/2 = 15 generator commutators once, and setting up
-    the witness search reads the logarithms c^e ↦ e off the report, so it
-    makes only the n conjugations' 12 products (the inverses are memoized)."""
+    each of the n(n-1)/2 = 15 generator commutators once.  Setting up the
+    witness search reads the logarithms c^e ↦ e off the report, so it makes
+    only the n conjugations' 12 products (the inverses are memoized).  The
+    search reads the rows of c and t, the generators last first, with 5
+    commutators each."""
     group = load(dihedral_times_c2(5))
     calls = []
     for name in ("commutator", "multiply"):
@@ -363,8 +389,12 @@ def test_the_hypotheses_and_the_search_reuse_the_commutators(monkeypatch, dihedr
     assert (group.n, report.derived_order) == (6, 8)
     assert calls.count("commutator") == 15
     calls.clear()
-    _commutator_exponents(group, report)
+    _parity_masks(group, report)
     assert calls == ["multiply"] * 12
+    calls.clear()
+    w = select_witness(group, report)
+    assert (group.word_str(w.b), group.word_str(w.a)) == ("t", "r1")
+    assert calls.count("commutator") == 10
 
 
 def assert_units_are_iterated_conjugates(units, a):
@@ -419,25 +449,45 @@ def test_the_orbit_reads_no_row(dihedral_times_c2):
     assert_units_are_iterated_conjugates(units, w.a)
 
 
+def t_first_d512xc2():
+    """D512 x C2 with the reflection t first among the generators."""
+    rots = [f"r{i}" for i in range(1, 9)]
+    lines = ["group D512xC2", "gens " + " ".join(["t"] + rots + ["c"])]
+    lines += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(7)]
+    lines += [f"conj {rots[i]} t = " + " ".join(rots[i:]) for i in range(8)]  # ri^t = ri^-1
+    return "\n".join(lines) + "\n"
+
+
 def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_times_c2):
-    """The search reads exponent tables, one list per candidate b, and
-    steps a^i by products: the group keeps no row after hypotheses and the
-    search on o32_45, and on D512 x C2 (order 1024) whether the scan
-    reaches b = t second (t last among the generators) or after 511
-    non-central rotations (t first)."""
+    """The search reads one parity row per generator letter, and no row of
+    the group: the group keeps no row after hypotheses and the search on
+    o32_45, and on D512 x C2 (order 1024) whether the scan reaches b = t
+    second (t last among the generators) or last (t first)."""
     group = load_file(corpus_dir / "o32" / "o32_45.pc2")
     select_witness(group, check_hypotheses(group))
     assert_holds_no_row(group)
-    rots = [f"r{i}" for i in range(1, 9)]
-    t_first = ["group D512xC2", "gens " + " ".join(["t"] + rots + ["c"])]
-    t_first += [f"pow {rots[i]} = {rots[i + 1]}" for i in range(7)]
-    t_first += [f"conj {rots[i]} t = " + " ".join(rots[i:]) for i in range(8)]  # ri^t = ri^-1
-    for text in dihedral_times_c2(9), "\n".join(t_first) + "\n":
+    for text in dihedral_times_c2(9), t_first_d512xc2():
         group = load(text)
         w = select_witness(group, check_hypotheses(group))
         assert group.order == 1024
         assert [group.word_str(x) for x in (w.a, w.b, w.z)] == ["r1", "t", "c"]
         assert_holds_no_row(group)
+
+
+def test_the_witness_search_builds_no_table(monkeypatch, corpus_dir, dihedral_times_c2):
+    """After the hypotheses, the search doubles no row over the tables:
+    on o32_45 and on D512 x C2 in both generator orders."""
+    texts = [(corpus_dir / "o32" / "o32_45.pc2").read_text(), dihedral_times_c2(9),
+             t_first_d512xc2()]
+    groups = [(group, check_hypotheses(group)) for group in map(load, texts)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search built a table")
+
+    monkeypatch.setattr(construct, "doubled", refuse)
+    witnesses = [select_witness(group, report) for group, report in groups]
+    assert [(g.word_str(w.b), g.word_str(w.a)) for (g, _), w in zip(groups, witnesses)] == [
+        ("a", "b"), ("t", "r1"), ("t", "r1")]
 
 
 def test_the_witness_above_the_table_limit(dihedral_times_c2):

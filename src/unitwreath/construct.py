@@ -128,9 +128,12 @@ class QuotientGroup:
     """The quotient of the unit group <gens> by a central subgroup, the kernel.
 
     The kernel must be made of group elements (units of one-element
-    support), as <a^(2^s)> is.  A coset is named by its member of least
-    (support size, bitset), and the cosets are indexed in the order of
-    those representatives, so the identity's coset is 0.  The closure runs
+    support), as <a^(2^s)> is.  A kernel translate y·t multiplies y by a
+    group element, which permutes y's support, so the members of a coset
+    share one support size and its member of least (support size, bitset)
+    is its least bitset.  That member names the coset, and the cosets are
+    indexed in the order of (support size, bitset) of their
+    representatives, so the identity's coset is 0.  The closure runs
     over representatives: each is multiplied on the left by each generator
     once, and rows[k][i] is the index of gens[k]·reps[i].  A product is
     one XOR per support element of the representative, through the
@@ -150,10 +153,7 @@ class QuotientGroup:
         shifts = [[1 << group.multiply(j, t.bits.bit_length() - 1) for j in group.elements()]
                   for t in kernel if t.bits != 1]
 
-        def key(bits: int) -> tuple[int, int]:
-            return bits.bit_count(), bits
-
-        products = {}
+        products = [{} for _ in gens]  # products[k][x] = the rep of gens[k]·x
         # member to representative; the kernel is 1's coset
         self._rep_of = rep_of = {t.bits: 1 for t in kernel}
 
@@ -162,15 +162,17 @@ class QuotientGroup:
             rep = rep_of.get(y)
             if rep is None:  # a new coset: its translates by the kernel, once
                 coset = [y] + [apply(c, y) for c in shifts]
-                rep = min(coset, key=key)
-                rep_of.update(dict.fromkeys(coset, rep))
-            products[k, x] = rep
+                rep = min(coset)
+                for member in coset:
+                    rep_of[member] = rep
+            products[k][x] = rep
             return rep
 
-        self.reps = sorted(closure(range(len(gens)), left, 1, cap), key=key)
+        reps = closure(range(len(gens)), left, 1, cap)
+        self.reps = sorted(reps, key=lambda bits: (bits.bit_count(), bits))
         self.order = len(self.reps)
         self._index = index = {r: i for i, r in enumerate(self.reps)}
-        self.rows = [[index[products[k, r]] for r in self.reps] for k in range(len(gens))]
+        self.rows = [[index[row[r]] for r in self.reps] for row in products]
 
     def index_of(self, bits: int) -> int | None:
         """The index of the coset holding the unit bits, or None outside <gens>."""
@@ -402,26 +404,27 @@ def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
     ConstructionError naming its positions, and |X| > cap ClosureCapError.
     """
     algebra = orbit.units[0].algebra
-    zero = algebra.zero()
-    xs = [u + algebra.one() for u in orbit.units]
+    convolve = algebra._conv.convolve
+    xs = [u.bits ^ 1 for u in orbit.units]
     m = len(xs)
-    bad = [i for i, x in enumerate(xs) if x == zero or x * x != zero]
+    bad = [i for i, x in enumerate(xs) if not x or convolve(x, x)]
     if bad:
         raise ConstructionError(f"orbit members at positions {bad} are not of order 2")
-    products = {(i, j): (xs[i] * xs[j], xs[j] * xs[i]) for i, j in combinations(range(m), 2)}
+    products = {(i, j): (convolve(xs[i], xs[j]), convolve(xs[j], xs[i]))
+                for i, j in combinations(range(m), 2)}
     noncomm = [ij for ij, (p, q) in products.items() if p != q]
     if noncomm:
         raise ConstructionError(f"orbit members at {noncomm} do not commute")
     if 1 << m > cap:
         raise ClosureCapError(f"base group X of order 2^{m} exceeds cap {cap}")
-    at_one = [i for i, x in enumerate(xs) if x.bits & 1]
-    meet = [(i, j) for (i, j), (p, _) in products.items() if p != zero or xs[i].bits & xs[j].bits]
+    at_one = [i for i, x in enumerate(xs) if x & 1]
+    meet = [(i, j) for (i, j), (p, _) in products.items() if p or xs[i] & xs[j]]
     if at_one or meet:
         raise ConstructionError(f"sub-products degenerate: 1 in the support of x_i at {at_one}; "
                                 f"x_i·x_j ≠ 0 or supports meet at {meet}")
     base = [1]
     for x in xs:
-        base += [y ^ x.bits for y in base]
+        base += [y ^ x for y in base]
     checks = dict.fromkeys(CHECK_NAMES[1:4], True)  # orbit-orders to subset-products-nontrivial
     return [AlgebraElement(algebra, bits) for bits in sorted(base)], checks
 

@@ -47,13 +47,16 @@ class Convolver:
     def columns(self, ubits: int) -> list[int]:
         """[u·gj for every j], from the row of each element of u's support.
 
-        For each j the x·gj over x in the support are distinct, so their
-        bits sum without a carry.
+        For each j the x·gj over x in the support are distinct, so column j
+        is the OR of their shifted bits, built up one support row at a time.
         """
         if not ubits:
             return [0] * len(self._rows[0])
-        rows = [self._rows[i] for i in bit_indices(ubits)]
-        return [sum(1 << y for y in col) for col in zip(*rows)]
+        first, *rest = [self._rows[i] for i in bit_indices(ubits)]
+        cols = [1 << y for y in first]
+        for row in rest:
+            cols = [c | 1 << y for c, y in zip(cols, row)]
+        return cols
 
 
 def apply(columns: list[int], vbits: int) -> int:

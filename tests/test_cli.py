@@ -341,6 +341,22 @@ def test_sweep_json_is_pinned(capsys, directory, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# D32 x C2 has s = 3, above the corpus sweeps' s <= 2: its quotient of
+# order 2048 is the largest section closure that these tests run, and with
+# --oracle its verdict carries the skip detail
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "7e5737b2b4a38e7545612f4aedb786808f8b83c70de6652bf0a1725aac54053d"),
+        (["--oracle"], "8df30dde08eed47097a2fc4c9cf593533ff17974bb87d80f929e29c4c4bcca5a"),
+    ],
+)
+def test_an_s3_verdict_json_is_pinned(capsys, tmp_path, flags, digest):
+    code, out, err = run(capsys, "verify", dihedral_times_c2(tmp_path, 5), "--json", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_json_over_the_corpus_is_pinned(capsys):
     """check --json on each of the 73 corpus files, in sorted order: the
     hypothesis reports of the groups that the sweeps above do not pin."""

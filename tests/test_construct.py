@@ -544,6 +544,9 @@ class TestBaseGroup:
             # x = a, and a·a = c is not 0
             pytest.param(["1+a"], r"orbit members at positions \[0\] are not of order 2",
                          id="not-an-involution"),
+            # the unit 1: x = 0 squares to 0, but 1 is not of order 2
+            pytest.param(["1"], r"orbit members at positions \[0\] are not of order 2",
+                         id="zero-x"),
             # x_0 = z + b and x_1 = z + a·b square to 0, but x_0·x_1 ≠ x_1·x_0
             pytest.param(["1+z+b", "1+z+a*b"], r"orbit members at \[\(0, 1\)\] do not commute",
                          id="noncommuting"),
@@ -733,6 +736,34 @@ def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
     q, k = section.quotient_order, section.kernel_order
     assert (len(orbit.units), q, k, section.verdict) == (4, 64, 2, True)
     assert len(calls) == 2 * q + (q - 1) * (k - 1)
+
+
+def assert_a_coset_is_named_by_its_least_bitset(group):
+    """The section's quotient: a kernel translate y·t permutes y's support,
+    so each coset's |K| members share one support size, and its
+    representative is its least bitset.  Returns |K|."""
+    quotient, _, kernel = section_quotient(run_pipeline(group, use_oracle=False))
+    cosets = {}
+    for member, rep in quotient._rep_of.items():
+        cosets.setdefault(rep, []).append(member)
+    assert sorted(cosets, key=rep_key) == quotient.reps, group.name
+    for rep, members in cosets.items():
+        assert len(members) == len(kernel), group.name
+        assert len({x.bit_count() for x in members}) == 1, group.name
+        assert rep == min(members), group.name
+    return len(kernel)
+
+
+def test_a_coset_is_named_by_its_least_bitset_on_the_corpus(corpus_dir):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    assert {assert_a_coset_is_named_by_its_least_bitset(g) for g in passing} == {1, 2, 4}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_coset_is_named_by_its_least_bitset_on_the_ladder(n, dihedral_times_c2):
+    assert_a_coset_is_named_by_its_least_bitset(load(dihedral_times_c2(n)))
 
 
 class RecordedRows:

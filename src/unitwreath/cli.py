@@ -262,7 +262,7 @@ def _run(argv) -> int:
             )
     try:
         return args.func(args)
-    except (pcgroup.PcError, oracle.ClosureCapError, construct.NoWitnessError,
+    except (pcgroup.PcError, pcgroup.ClosureCapError, construct.NoWitnessError,
             FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

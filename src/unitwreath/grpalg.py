@@ -4,31 +4,18 @@ An algebra element is a subset of the group, stored as an int bitset over
 the group's canonical element index.  Addition is symmetric difference,
 multiplication is convolution through left-multiplication rows, which the
 algebra builds from the group's tables as it reads them and keeps (a
-RowStore), so the algebra is built only up to CAYLEY_LIMIT.  Odd-support
-elements are exactly the normalized units: the augmentation ideal of a
-2-group algebra in characteristic 2 is nilpotent, so they are invertible
-with 2-power order.  `unit_order`, `inverse_unit` and `conjugate_unit`
-compute in the algebra alone; they stay as the references the tests
-compare the group-product paths against.
+RowStore), so the algebra is built only up to pcgroup.CAYLEY_LIMIT.
+Odd-support elements are exactly the normalized units: the augmentation
+ideal of a 2-group algebra in characteristic 2 is nilpotent, so they are
+invertible with 2-power order.  `unit_order`, `inverse_unit` and
+`conjugate_unit` compute in the algebra alone; they stay as the references
+the tests compare the group-product paths against.
 """
 
 from __future__ import annotations
 
 from . import kernels
-from .pcgroup import FiniteGroup, TableLimitError, doubled
-
-# The largest group order whose algebra is built: convolution reads a row
-# for every support element, and the enumerating checks can read them all.
-CAYLEY_LIMIT = 512
-
-
-def check_table_limit(group: FiniteGroup) -> None:
-    """Raise TableLimitError when group's order is above CAYLEY_LIMIT."""
-    if group.order > CAYLEY_LIMIT:
-        raise TableLimitError(
-            f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
-            "largest order whose Cayley table the group algebra can use"
-        )
+from .pcgroup import FiniteGroup, check_table_limit, doubled
 
 
 class RowStore(dict):
@@ -74,9 +61,7 @@ class GroupAlgebra:
 
     def embed(self, g: int) -> "AlgebraElement":
         """Canonical (multiplicative) embedding of a group element."""
-        if not 0 <= g < self.order:
-            raise ValueError(f"element index {g} out of range")
-        return AlgebraElement(self, 1 << g)
+        return self.from_support((g,))
 
     def from_support(self, indices) -> "AlgebraElement":
         bits = 0

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .grpalg import AlgebraElement
-# ClosureCapError is re-exported: bfs_closure raises it
-from .pcgroup import ClosureCapError, closure  # noqa: F401
+from .pcgroup import closure
 
 DEFAULT_CAP = 1 << 16
 
@@ -57,7 +56,8 @@ class TableGroup:
         return self.table[x][y]
 
     def inverse(self, x: int) -> int:
-        return self.table[x].index(self.identity)
+        """x⁻¹, the power of x before 1: |x| lookups, where x's row has |G|."""
+        return self._powers(x)[1]
 
     def conjugate(self, x: int, g: int) -> int:
         return self.mul(self.mul(self.inverse(g), x), g)

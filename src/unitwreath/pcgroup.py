@@ -17,7 +17,8 @@ y ↦ x·y is doubled over the tables by whatever reads it, and the group
 algebra alone keeps the rows it convolves with.  FiniteGroup closes and
 filters no subgroup: the hypothesis check (construct.check_hypotheses)
 reads G' off the generators' commutators and filters Z(G) against the
-few generators that lead no square or commutator.
+few generators that lead no square or commutator.  The module holds the
+Cayley-table limit, CAYLEY_LIMIT, and imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ class ConsistencyError(PcError):
 
 class TableLimitError(PcError):
     """The group is too large for an operation that needs its Cayley table."""
+
+
+# The largest group order whose algebra is built: convolution reads a row
+# for every support element, and the enumerating checks can read them all.
+CAYLEY_LIMIT = 512
+
+
+def check_table_limit(group: FiniteGroup) -> None:
+    """Raise TableLimitError when group's order is above CAYLEY_LIMIT."""
+    if group.order > CAYLEY_LIMIT:
+        raise TableLimitError(
+            f"{group.name}: order {group.order} is above {CAYLEY_LIMIT}, the "
+            "largest order whose Cayley table the group algebra can use"
+        )
 
 
 class ClosureCapError(Exception):
@@ -343,8 +358,7 @@ class FiniteGroup:
 
     @property
     def cayley(self) -> list[list[int]]:
-        """Every row, each doubled over the tables; TableLimitError above the algebra's limit."""
-        from .grpalg import check_table_limit  # grpalg imports this module
+        """Every row, each doubled over the tables; TableLimitError above CAYLEY_LIMIT."""
         check_table_limit(self)
         return [doubled(self.right, 0, x) for x in self.elements()]
 
@@ -432,7 +446,8 @@ def load(text: str, name_hint: str = "<input>") -> FiniteGroup:
 def load_file(path) -> FiniteGroup:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        # a byte-order mark is dropped after decoding: error offsets stay the file's
+        text = p.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise PcError(f"{p}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

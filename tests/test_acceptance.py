@@ -16,6 +16,7 @@ from unitwreath.oracle import (
     TableGroup,
     bfs_closure,
     isomorphic_small,
+    reference_table,
     reference_wreath,
 )
 from unitwreath.pcgroup import load_file
@@ -194,8 +195,8 @@ def test_criterion_6_oracle_self_consistency():
         idx = {x: i for i, x in enumerate(model.elements())}
         images = [idx[model.base_unit(i)] for i in range(model.m)]
         top = idx[model.shift()]
-        checks = verify_wreath(table, images, top, s, use_oracle=True)
-        ok = ok and all(checks.values())
+        checks = verify_wreath(table, images, top, s)
+        ok = ok and all(checks.values()) and isomorphic_small(table, reference_table(s))
     c8 = TableGroup([[(i + j) % 8 for j in range(8)] for i in range(8)])
     ok = ok and not isomorphic_small(c8, reference_wreath(1).to_table_group())
     report("6 (oracle self-consistency)", ok)

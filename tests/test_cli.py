@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import unitwreath
 from unitwreath import construct, oracle
 from unitwreath.catalog import default_corpus_dir
 from unitwreath.cli import main
+from unitwreath.pcgroup import load_file
 
 O16 = str(default_corpus_dir() / "o16")
 D8 = str(default_corpus_dir() / "o8" / "D8.pc2")
@@ -110,6 +112,17 @@ class TestCheck:
         code, _, err = run(capsys, "check", "no/such/file.pc2")
         assert code == 3
         assert "error" in err
+
+    def test_a_leading_byte_order_mark_is_accepted(self, capsys, tmp_path, d8xc2_path):
+        bom = tmp_path / "D8xC2.pc2"
+        bom.write_bytes(codecs.BOM_UTF8 + Path(d8xc2_path).read_bytes())
+        assert load_file(bom).right == load_file(d8xc2_path).right
+        plain = run(capsys, "check", d8xc2_path, "--json")
+        assert run(capsys, "check", str(bom), "--json") == plain
+        assert plain[0] == 0
+        bom.write_bytes(codecs.BOM_UTF8 + b"group X\xff\ngens a b\n")
+        code, _, err = run(capsys, "check", str(bom))
+        assert code == 3 and err.endswith("not UTF-8 text (invalid start byte at byte 10)\n")
 
     def test_malformed_file_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.pc2"

@@ -1,0 +1,64 @@
+"""The package's import layers, read off the sources with ast.
+
+kernels and pcgroup import no package module; every other module imports
+only from the layers below it, kernels, pcgroup < grpalg < oracle <
+construct < catalog < cli; and no function body imports a package module,
+so no import is deferred to hide a cycle.  __init__ is exempt from the
+order: it re-exports the public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import unitwreath
+
+SOURCES = sorted(Path(unitwreath.__file__).parent.glob("*.py"))
+LAYER = {"kernels": 0, "pcgroup": 0, "grpalg": 1, "oracle": 2, "construct": 3, "catalog": 4,
+         "cli": 5}
+
+
+def package_imports(node):
+    """The package modules an import node names, by their short names."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1:
+            return [node.module] if node.module else [a.name for a in node.names]
+        if node.module and node.module.split(".")[0] == "unitwreath":
+            parts = node.module.split(".")
+            return [parts[1]] if len(parts) > 1 else [a.name for a in node.names]
+    elif isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("unitwreath.")]
+    return []
+
+
+def imports_of(path: Path) -> set:
+    return {m for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for m in package_imports(node)}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SOURCES} - {"__init__"} == set(LAYER)
+
+
+@pytest.mark.parametrize("name", ["kernels", "pcgroup"])
+def test_the_base_modules_import_no_package_module(name):
+    assert imports_of(Path(unitwreath.__file__).parent / f"{name}.py") == set()
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "__init__"], ids=lambda p: p.stem)
+def test_imports_follow_the_layers(path):
+    above = {m for m in imports_of(path) if LAYER[m] >= LAYER[path.stem]}
+    assert not above, f"{path.stem} imports {sorted(above)} from its layer or above"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_function_imports_a_package_module(path):
+    deferred = [
+        (func.name, node.lineno)
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if package_imports(node)
+    ]
+    assert not deferred, f"{path.stem} imports a package module inside {deferred}"

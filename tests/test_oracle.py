@@ -7,7 +7,6 @@ from unitwreath import construct, oracle
 from unitwreath.construct import check_hypotheses, run_pipeline, verify_wreath
 from unitwreath.grpalg import conjugate_unit
 from unitwreath.oracle import (
-    ClosureCapError,
     TableGroup,
     WreathModel,
     bfs_closure,
@@ -15,7 +14,7 @@ from unitwreath.oracle import (
     reference_table,
     reference_wreath,
 )
-from unitwreath.pcgroup import closure, load_file
+from unitwreath.pcgroup import ClosureCapError, closure, load, load_file
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +147,9 @@ class TestWreathModel:
         idx = {x: i for i, x in enumerate(model.elements())}
         images = [idx[model.base_unit(i)] for i in range(model.m)]
         top = idx[model.shift()]
-        checks = verify_wreath(table, images, top, s, use_oracle=True)
+        checks = verify_wreath(table, images, top, s)
         assert all(checks.values()), checks
+        assert isomorphic_small(table, reference_table(s))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_table_from_generator_rows_is_the_all_pairs_table(self, s):
@@ -263,3 +263,35 @@ def test_each_section_quotient_is_accepted_at_its_first_leaf(monkeypatch, corpus
         result = run_pipeline(group, use_oracle=True)
         assert result.section.checks["oracle-isomorphism"], group.name
         assert (len(searches), len(leaves)) == (k, k), group.name
+
+
+@pytest.mark.parametrize("use_oracle", [True, False], ids=["oracle", "no-oracle"])
+@pytest.mark.parametrize("source, s", [("D8xC2", 1), ("o32_45", 2), ("D32xC2", 3)])
+def test_the_section_runs_the_cross_check_once(
+    monkeypatch, corpus_dir, dihedral_times_c2, source, s, use_oracle
+):
+    """build_section alone runs --oracle: one isomorphism search and no
+    detail for s <= ORACLE_MAX_S, none and the skip detail above it, and
+    without use_oracle neither."""
+    group = (load(dihedral_times_c2(5)) if source == "D32xC2"
+             else load_file(next(corpus_dir.glob(f"*/{source}.pc2"))))
+    searches = counted(monkeypatch, construct, "isomorphic_small")
+    section = run_pipeline(group, use_oracle=use_oracle).section
+    assert section.witness.s == s and section.verdict
+    ran = use_oracle and s <= construct.ORACLE_MAX_S
+    assert len(searches) == ran
+    assert ("oracle-isomorphism" in section.checks) == ran
+    skipped = use_oracle and not ran
+    assert section.detail == (
+        "oracle-isomorphism skipped: --oracle runs only for s <= 2" if skipped else None
+    )
+
+
+def test_inverse_in_a_relabelled_table():
+    """TableGroup.inverse, the power before 1, on C2 wr C4 renumbered so that
+    the identity is not element 0."""
+    group = relabelled(reference_table(2), random.Random(3))
+    assert group.identity != 0
+    for x in range(group.order):
+        y = group.inverse(x)
+        assert group.mul(x, y) == group.mul(y, x) == group.identity

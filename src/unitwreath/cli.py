@@ -23,8 +23,43 @@ EXIT_INPUT = 3
 EXIT_PIPE = 141
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _dump(obj) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it.
+
+    With indent set, json.dumps runs the stdlib's pure-Python encoder; this
+    writer dispatches on the exact type instead and joins each container.
+    It takes dicts with str keys, lists, tuples, str, int, bool and None,
+    and raises TypeError on anything else.
+    """
+    return _json(obj, "\n")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, newline: str) -> str:
+    """_dump's recursion; newline is a line break and the indent of obj's line."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "  # _quote raises TypeError on a key that is not a str
+        return ("{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json(obj[key], inner) for key in sorted(obj)]) + newline + "}")
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in obj]) + newline + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _parse_witness(group, spec: str):

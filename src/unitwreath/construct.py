@@ -186,8 +186,8 @@ class QuotientGroup:
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     """Test the hypotheses and list G', Z(G) and the candidate central involutions.
 
-    G is abelian iff G' = 1.  The commutators (gi, gj) of the pc generators
-    generate G'.  Down k: let those with i, j > k generate G_(k+1)', and H
+    G is abelian iff G' = 1.  The commutators (gi, gj) of the pc generators,
+    read off the conjugation words, generate G'.  Down k: let those with i, j > k generate G_(k+1)', and H
     be generated by them and the (gk, gj), all in G_(k+1).  G_(k+1)' is
     characteristic in G_(k+1), so normal in G_k, and modulo it G_(k+1) is
     abelian: its elements fix H under conjugation, and x ↦ (x, gk) is a
@@ -207,7 +207,8 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     row against its table.
     """
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
-    comms = {group.commutator(x, y) for x, y in combinations(gens, 2)}
+    comms = {group.generator_commutator(i, j)
+             for i, j in combinations(range(1, group.n + 1), 2)}
     c = max(sorted(comms), key=group.element_order, default=0)
     derived, c_e = [0], c  # <c> in order, m products
     while c_e:
@@ -258,21 +259,28 @@ def _parity_masks(group: FiniteGroup, report: HypothesisReport):
 
     mask(b) is the XOR over b's letters h of row(h), the generators g for
     which (h, g) = c^e with e odd (see select_witness).  A row is built the
-    first time a letter is read, from a commutator (h, g) for each
-    generator g ≠ h.  The logarithms c^e ↦ e are read off the report's
-    powers of c, and neg takes one conjugation per generator.
+    first time a letter is read, from a commutator for each generator
+    g ≠ h, read off the presentation with the lower index first: (g, h) =
+    (h, g)^-1 has the opposite exponent, of the same parity.  The logarithms c^e ↦ e
+    are read off the report's powers of c, and neg takes one conjugation
+    per generator.
     """
     log = dict(zip(report.derived, range(report.derived_order)))  # c^e ↦ e
     gens = [1 << i for i in range(group.n)]
     neg = sum(g for g in gens if log[group.conjugate(report.derived_generator, g)] % 4 == 3)
+    n, comm = group.n, group.generator_commutator
     rows: dict[int, int] = {}
+
+    def row(k: int) -> int:  # gk's row, as a mask; gl = 1 << (n - l)
+        return (sum(1 << (n - l) for l in range(1, k) if log[comm(l, k)] % 2)
+                + sum(1 << (n - l) for l in range(k + 1, n + 1) if log[comm(k, l)] % 2))
 
     def mask_of(b: int) -> int:
         mask = 0
         for h in gens:
             if b & h:
                 if h not in rows:
-                    rows[h] = sum(g for g in gens if g != h and log[group.commutator(h, g)] % 2)
+                    rows[h] = row(n + 1 - h.bit_length())
                 mask ^= rows[h]
         return mask
 

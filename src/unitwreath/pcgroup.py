@@ -18,7 +18,8 @@ algebra alone keeps the rows it convolves with.  FiniteGroup closes and
 filters no subgroup: the hypothesis check (construct.check_hypotheses)
 reads G' off the generators' commutators and filters Z(G) against the
 few generators that lead no square or commutator.  The module holds the
-Cayley-table limit, CAYLEY_LIMIT, and imports nothing from the package.
+Cayley-table limit, CAYLEY_LIMIT, the load limit, LOAD_LIMIT, and imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -46,12 +47,16 @@ class ConsistencyError(PcError):
 
 
 class TableLimitError(PcError):
-    """The group is too large for an operation that needs its Cayley table."""
+    """The group is too large to load, or for an operation that needs its Cayley table."""
 
 
 # The largest group order whose algebra is built: convolution reads a row
 # for every support element, and the enumerating checks can read them all.
 CAYLEY_LIMIT = 512
+
+# The largest group order that loads: the tables x·gj hold n·order ints,
+# about 245 MB at peak for D8 x C2^15 (order 2^18).
+LOAD_LIMIT = 1 << 18
 
 
 def check_table_limit(group: FiniteGroup) -> None:
@@ -217,10 +222,9 @@ def parse_presentation(text: str, name_hint: str = "<input>") -> PcPresentation:
     if name is None:
         raise ParseError(f"{name_hint}: missing group line")
 
-    pres = PcPresentation(name=name, gens=tuple(gens), powers=powers,
+    # FiniteGroup validates the index constraints the lines above leave open
+    return PcPresentation(name=name, gens=tuple(gens), powers=powers,
                           conjugations=conjugations)
-    pres.validate()
-    return pres
 
 
 def serialize_presentation(pres: PcPresentation) -> str:
@@ -298,6 +302,11 @@ class FiniteGroup:
         self.name = pres.name
         self.n = pres.n
         self.order = 1 << pres.n
+        if self.order > LOAD_LIMIT:
+            raise TableLimitError(
+                f"{self.name}: order {self.order} is above {LOAD_LIMIT}, the largest "
+                "order whose product tables are built at load"
+            )
         self._inverses = {0: 0}
         self.right = self._tables()
         self._check_overlaps()
@@ -309,16 +318,19 @@ class FiniteGroup:
 
         x·gj = H·gj·L^gj (see the module docstring).  L ↦ L^gj doubles over
         L's last letter through the conjugation words gk^gj and the tables
-        for letters > j.  If H = H'·gj, then H·gj = H'·Pj with Pj = gj^2 in
-        G_(j+1), and Pj's row on G_(j+1) doubles the same way.
+        for letters > j.  If H = H'·gj, then H·gj = H'·Pj·L^gj with Pj = gj^2
+        in G_(j+1), and L ↦ Pj·L^gj doubles from Pj through the same words.
         """
         n, pres = self.n, self.pres
         right: list = [None] * (n + 1)
         for j in range(n, 0, -1):
             gj = 1 << (n - j)
-            conj = doubled(right, j, 0, lambda k: pres.conjugations.get((j, k), (k,)))
+            words = {k: pres.conjugations.get((j, k), (k,)) for k in range(j + 1, n + 1)}
+            conj = doubled(right, j, 0, words.__getitem__)
             square = reduce(lambda v, l: right[l][v], pres.powers.get(j, ()), 0)
-            block = [gj + c for c in conj] + list(map(doubled(right, j, square).__getitem__, conj))
+            # Pj·L^gj, doubled from Pj through the same words
+            block = list(map(gj.__add__, conj)) + (
+                doubled(right, j, square, words.__getitem__) if square else conj)
             right[j] = [h + v for h in range(0, self.order, 2 * gj) for v in block]
         return right
 
@@ -397,6 +409,22 @@ class FiniteGroup:
         """(x, y) = x^-1 y^-1 x y."""
         return self.multiply(self.inverse(x), self.multiply(self.inverse(y), self.multiply(x, y)))
 
+    def generator_commutator(self, i: int, j: int) -> int:
+        """(gi, gj), read off the presentation: (gi, gj) = (gj^gi)^-1·gj for i < j.
+
+        gj^gi is the conjugation word, collected over the tables; a pair with
+        no conj line commutes.  For i > j, (gi, gj) = (gj, gi)^-1.
+        """
+        if i > j:
+            return self.inverse(self.generator_commutator(j, i))
+        word = self.pres.conjugations.get((i, j))
+        if word is None:
+            return 0
+        right, conj = self.right, 0
+        for l in word:
+            conj = right[l][conj]
+        return right[j][self.inverse(conj)]
+
     def power(self, x: int, m: int) -> int:
         acc = 0
         base = x
@@ -444,10 +472,13 @@ def load(text: str, name_hint: str = "<input>") -> FiniteGroup:
 
 
 def load_file(path) -> FiniteGroup:
-    p = Path(path)
+    """Read and load a presentation file; an unreadable file is a PcError naming it."""
+    p = path if isinstance(path, Path) else Path(path)  # messages name the normalised path
     try:
+        with open(p, "rb") as f:
+            data = f.read()
         # a byte-order mark is dropped after decoding: error offsets stay the file's
-        text = p.read_bytes().decode("utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise PcError(f"{p}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

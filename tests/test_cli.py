@@ -2,16 +2,19 @@ import codecs
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitwreath
 from unitwreath import construct, oracle
 from unitwreath.catalog import default_corpus_dir
-from unitwreath.cli import main
+from unitwreath.cli import _dump, main
 from unitwreath.pcgroup import load_file
 
 O16 = str(default_corpus_dir() / "o16")
@@ -23,28 +26,37 @@ def d8xc2_path(corpus_dir):
     return str(corpus_dir / "o16" / "D8xC2.pc2")
 
 
-def dihedral_times_c2(tmp_path, n: int) -> str:
-    """Write D_(2^n) x C2 (order 2^(n+1), s = n - 2) and return its path."""
-    rots = [f"r{i}" for i in range(1, n)]
-    lines = [f"group D{1 << n}xC2", "gens " + " ".join(rots) + " t c"]
-    lines += [f"pow r{i} = r{i + 1}" for i in range(1, n - 1)]
-    lines += [f"conj t r{i} = t r{i + 1}" for i in range(1, n - 1)]
-    path = tmp_path / f"D{1 << n}xC2.pc2"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+@pytest.fixture()
+def dihedral_file(tmp_path, dihedral_times_c2):
+    """Write the conftest's D_(2^n) x C2 (order 2^(n+1), s = n - 2) and return its path, given n."""
+
+    def write(n: int) -> str:
+        path = tmp_path / f"D{1 << n}xC2.pc2"
+        path.write_text(dihedral_times_c2(n))
+        return str(path)
+
+    return write
 
 
-def run_subprocess(*argv, stdout=subprocess.PIPE, unbuffered=None):
+def run_subprocess(*argv, stdout=subprocess.PIPE, unbuffered=None, address_space=None):
     """The CLI in a child process with a timeout, so that a runaway
     enumeration fails the test instead of hanging it.  unbuffered, when
-    given, sets PYTHONUNBUFFERED: "" leaves stdout block-buffered."""
+    given, sets PYTHONUNBUFFERED: "" leaves stdout block-buffered.
+    address_space, when given, is the child's RLIMIT_AS in bytes, so that
+    a runaway allocation fails in the child alone."""
     src = str(Path(unitwreath.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, hard))
+
     return subprocess.run(
         [sys.executable, "-m", "unitwreath.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        preexec_fn=None if address_space is None else limit,
     )
 
 
@@ -217,6 +229,31 @@ class TestLargeGroups:
         assert out == ""
         assert err.count("\n") == 1 and "order 1024" in err
 
+    # 30 generators and no relation: order 2^30, whose tables would hold 30·2^30 entries
+    WIDE_2_30 = "group E30\ngens " + " ".join(f"g{i}" for i in range(30)) + "\n"
+    LOAD_LIMIT_ERROR = (
+        "error: E30: order 1073741824 is above 262144, the largest order whose "
+        "product tables are built at load\n"
+    )
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_above_the_load_limit_exits_3(self, tmp_path, command):
+        path = tmp_path / "wide.pc2"
+        path.write_text(self.WIDE_2_30)
+        proc = run_subprocess(command, str(path), "--json", address_space=1 << 30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", self.LOAD_LIMIT_ERROR)
+
+    def test_a_sweep_lists_a_group_above_the_load_limit(self, tmp_path, d8xc2_path):
+        (tmp_path / "D8xC2.pc2").write_text(Path(d8xc2_path).read_text())
+        (tmp_path / "wide.pc2").write_text(self.WIDE_2_30)
+        proc = run_subprocess("verify", str(tmp_path), "--json", address_space=1 << 30)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        data = json.loads(proc.stdout)
+        assert [(p["group"], p["verdict"]) for p in data["pipelines"]] == [("D8xC2", "pass")]
+        assert data["census"]["errors"] == [
+            {"name": "wide", "error": self.LOAD_LIMIT_ERROR.removeprefix("error: ").rstrip()}
+        ]
+
     def test_directory_sweep_keeps_going(self, capsys, tmp_path, d8xc2_path):
         (tmp_path / "D8xC2.pc2").write_text(Path(d8xc2_path).read_text())
         (tmp_path / "big.pc2").write_text(self.CONSISTENT_1024)
@@ -253,39 +290,37 @@ class TestVerify:
         assert data["witness"]["z"] == "c·z"
         assert data["verdict"] == "pass"
 
-    def test_closure_cap_exits_3(self, capsys, tmp_path):
+    def test_closure_cap_exits_3(self, capsys, dihedral_file):
         # D16 x C2 (s = 2): X (16) fits the cap, the section's 64 cosets do not
-        path = dihedral_times_c2(tmp_path, 4)
+        path = dihedral_file(4)
         code, out, err = run(capsys, "verify", path, "--cap", "32", "--json")
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "cap 32" in err
 
-    def test_cap_bounds_the_base_group(self, tmp_path):
+    def test_cap_bounds_the_base_group(self, dihedral_file):
         # D128 x C2 (s = 5): X would have 2^32 elements, so <X, a> at least
         # 2^33, which the pipeline refuses before the witness search; the
         # base group's own refusal is tested in test_construct
-        proc = run_subprocess("verify", dihedral_times_c2(tmp_path, 7), "--json")
+        proc = run_subprocess("verify", dihedral_file(7), "--json")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith(
             "ambient group <X, a> of order at least 2|X| = 8589934592 exceeds cap 65536\n"
         )
 
-    def test_cap_bounds_the_ambient_group_before_closing_it(self, tmp_path):
+    def test_cap_bounds_the_ambient_group_before_closing_it(self, dihedral_file):
         # D64 x C2 (s = 4): |X| = 2^16 fits the cap, but <X, a> has at least
         # 2^17 elements, which is known before the closure starts
-        proc = run_subprocess("verify", dihedral_times_c2(tmp_path, 6), "--json")
+        proc = run_subprocess("verify", dihedral_file(6), "--json")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
         assert "<X, a>" in proc.stderr and "2|X| = 131072 exceeds cap 65536" in proc.stderr
 
-    def test_oracle_skip_is_reported(self, capsys, tmp_path):
+    def test_oracle_skip_is_reported(self, capsys, dihedral_file):
         # D32 x C2 has s = 3, above the oracle's limit
-        code, out, _ = run(
-            capsys, "verify", dihedral_times_c2(tmp_path, 5), "--oracle", "--json"
-        )
+        code, out, _ = run(capsys, "verify", dihedral_file(5), "--oracle", "--json")
         assert code == 0
         section = json.loads(out)["section"]
         assert "oracle-isomorphism" not in section["checks"]
@@ -364,8 +399,8 @@ def test_sweep_json_is_pinned(capsys, directory, flags, digest):
         (["--oracle"], "8df30dde08eed47097a2fc4c9cf593533ff17974bb87d80f929e29c4c4bcca5a"),
     ],
 )
-def test_an_s3_verdict_json_is_pinned(capsys, tmp_path, flags, digest):
-    code, out, err = run(capsys, "verify", dihedral_times_c2(tmp_path, 5), "--json", *flags)
+def test_an_s3_verdict_json_is_pinned(capsys, dihedral_file, flags, digest):
+    code, out, err = run(capsys, "verify", dihedral_file(5), "--json", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -517,3 +552,37 @@ class TestModel:
     def test_exit_code_matches_verdict(self, capsys, d8xc2_path):
         code, out, _ = run(capsys, "verify", d8xc2_path, "--oracle", "--json")
         assert (code == 0) == (json.loads(out)["verdict"] == "pass")
+
+
+# keys and strings the writer must quote as json does: non-ASCII, quotes,
+# backslashes, control characters and a surrogate
+ESCAPED = st.sampled_from(["·", "é", "ü·z", 'a"b', "\\", "\n", "\t", "\x00", "\x7f", "\ud800", "", "𝔾"])
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(1 << 80), 1 << 80)
+    | st.text() | ESCAPED,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | ESCAPED, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDump:
+    """cli._dump writes what json.dumps(obj, indent=2, sort_keys=True) writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_matches_json_dumps(self, obj):
+        assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], 1 << 64, -(1 << 65), True, None, "·",
+    ])
+    def test_empty_containers_and_scalars(self, obj):
+        assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        1.5, {1, 2}, {1: "a"}, {"a": [0, 2.0]}, {"b": 1, 2: "c"}, [frozenset()],
+    ])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            _dump(obj)

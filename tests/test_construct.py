@@ -373,28 +373,30 @@ def test_the_ladder_hypotheses_list_no_subgroup(monkeypatch, n, dihedral_times_c
 
 
 def test_the_hypotheses_and_the_search_reuse_the_commutators(monkeypatch, dihedral_times_c2):
-    """D32 x C2 (n = 6 generators, |G'| = m = 8): check_hypotheses makes
-    each of the n(n-1)/2 = 15 generator commutators once.  Setting up the
+    """D32 x C2 (n = 6 generators, |G'| = m = 8): check_hypotheses reads
+    each of the n(n-1)/2 = 15 generator commutators once off the
+    presentation, and takes no commutator by products.  Setting up the
     witness search reads the logarithms c^e ↦ e off the report, so it makes
-    only the n conjugations' 12 products (the inverses are memoized).  The
+    only the n conjugations' 12 products and 2 more for the inverses of r1
+    and c, the two generators whose inverse no conjugation word needed.  The
     search reads the rows of c and t, the generators last first, with 5
-    commutators each."""
+    generator commutators each."""
     group = load(dihedral_times_c2(5))
     calls = []
-    for name in ("commutator", "multiply"):
+    for name in ("commutator", "generator_commutator", "multiply"):
         method = getattr(group, name)
         monkeypatch.setattr(group, name, lambda *args, method=method, name=name:
                             calls.append(name) or method(*args))
     report = check_hypotheses(group)
     assert (group.n, report.derived_order) == (6, 8)
-    assert calls.count("commutator") == 15
+    assert (calls.count("generator_commutator"), calls.count("commutator")) == (15, 0)
     calls.clear()
     _parity_masks(group, report)
-    assert calls == ["multiply"] * 12
+    assert calls == ["multiply"] * 14
     calls.clear()
     w = select_witness(group, report)
     assert (group.word_str(w.b), group.word_str(w.a)) == ("t", "r1")
-    assert calls.count("commutator") == 10
+    assert (calls.count("generator_commutator"), calls.count("commutator")) == (10, 0)
 
 
 def assert_units_are_iterated_conjugates(units, a):

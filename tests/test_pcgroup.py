@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import D8_SQUARED, assert_holds_no_row, twisted_presentations
@@ -12,8 +12,10 @@ from unitwreath.catalog import default_corpus_dir
 from unitwreath.construct import REASON_NOT_CYCLIC, check_hypotheses
 from unitwreath.grpalg import GroupAlgebra, RowStore
 from unitwreath.pcgroup import (
+    LOAD_LIMIT,
     ConsistencyError,
     ConstraintError,
+    FiniteGroup,
     ParseError,
     PcError,
     PcPresentation,
@@ -413,3 +415,51 @@ def test_inverses_above_the_table_limit(dihedral_times_c2):
     for b in xs[:2]:
         row = pcgroup.doubled(group.right, 0, b)
         assert [row[y] for y in xs] == [group.multiply(b, y) for y in xs]
+
+
+def assert_generator_commutators_match_products(group):
+    """generator_commutator(i, j) is (gi, gj) as products give it, for every ordered pair."""
+    gens = [1 << (group.n - k) for k in range(1, group.n + 1)]
+    for i, j in itertools.product(range(1, group.n + 1), repeat=2):
+        assert group.generator_commutator(i, j) == group.commutator(gens[i - 1], gens[j - 1]), (
+            group.name, i, j)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(p, id=p.stem) for p in sorted(default_corpus_dir().rglob("*.pc2"))]
+    + [pytest.param(n, id=f"D{1 << n}xC2") for n in LADDER],
+)
+def test_generator_commutators_match_products(case, dihedral_times_c2):
+    """Every corpus file, and the ladder's D_(2^n) x C2 for n = 4..8."""
+    group = load_file(case) if isinstance(case, Path) else load(dihedral_times_c2(case))
+    assert_generator_commutators_match_products(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_presentations())
+def test_generator_commutators_match_products_on_random_presentations(pres):
+    try:
+        group = FiniteGroup(pres)
+    except ConsistencyError:
+        assume(False)
+    assert_generator_commutators_match_products(group)
+
+
+def test_the_load_limit_is_checked_before_the_tables(monkeypatch):
+    """Orders above LOAD_LIMIT are refused before any table is built."""
+
+    class TablesBuilt(Exception):
+        pass
+
+    def refuse(group):
+        raise TablesBuilt
+
+    monkeypatch.setattr(FiniteGroup, "_tables", refuse)
+    assert LOAD_LIMIT == 1 << 18  # D8 x C2^15, the widest group measured, still loads
+    with pytest.raises(TablesBuilt):
+        load("group E\ngens " + " ".join(f"g{i}" for i in range(18)) + "\n")
+    with pytest.raises(TableLimitError, match=r"^E: order 524288 is above 262144, "):
+        load("group E\ngens " + " ".join(f"g{i}" for i in range(19)) + "\n")
+    with pytest.raises(TableLimitError, match="order 1073741824 is above 262144"):
+        load("group E\ngens " + " ".join(f"g{i}" for i in range(30)) + "\n")

@@ -16,7 +16,7 @@ from itertools import combinations
 from . import kernels, oracle
 from .grpalg import AlgebraElement, GroupAlgebra
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table, table_from_rows
-from .pcgroup import ClosureCapError, FiniteGroup, closure, doubled
+from .pcgroup import ClosureCapError, FiniteGroup, closure, compose, doubled
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -138,11 +138,12 @@ class QuotientGroup:
     once, and rows[k][i] is the index of gens[k]·reps[i].  A product is
     one XOR per support element of the representative, through the
     generator's columns (kernels.apply), and so is a kernel translate y·t,
-    through the column gj ↦ gj·t of the group element t: only the rows of
-    the generators' supports are read.  Every member of each coset found
-    maps to its representative, so a product lands on its coset in one
-    lookup, and so does index_of.  The reps and the table depend on <gens>
-    alone.
+    through the column gj ↦ gj·t of the group element t (translates): only
+    the rows of the generators' supports are read.  Every member of each
+    coset found maps to its representative, so a product lands on its
+    coset in one lookup, and so does index_of.  The rows are the products
+    composed with the reps and then with the index (pcgroup.compose).  The
+    reps and the table depend on <gens> alone.
     """
 
     def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement],
@@ -150,7 +151,7 @@ class QuotientGroup:
         algebra, apply = gens[0].algebra, kernels.apply
         cols = [algebra._conv.columns(g.bits) for g in gens]
         group = algebra.group
-        shifts = [[1 << group.multiply(j, t.bits.bit_length() - 1) for j in group.elements()]
+        shifts = [[1 << y for y in self.translates(group, t.bits.bit_length() - 1)]
                   for t in kernel if t.bits != 1]
 
         products = [{} for _ in gens]  # products[k][x] = the rep of gens[k]·x
@@ -169,10 +170,19 @@ class QuotientGroup:
             return rep
 
         reps = closure(range(len(gens)), left, 1, cap)
-        self.reps = sorted(reps, key=lambda bits: (bits.bit_count(), bits))
+        self.reps = sorted(sorted(reps), key=int.bit_count)  # by (support size, bitset)
         self.order = len(self.reps)
         self._index = index = {r: i for i, r in enumerate(self.reps)}
-        self.rows = [[index[row[r]] for r in self.reps] for row in products]
+        self.rows = [compose(index, compose(row, self.reps)) for row in products]
+
+    @staticmethod
+    def translates(group: FiniteGroup, t: int) -> list[int]:
+        """[y·t for y in group]: the tables of t's letters composed in letter order."""
+        column = list(group.elements())
+        for j in range(1, group.n + 1):
+            if t >> (group.n - j) & 1:
+                column = compose(group.right[j], column)
+        return column
 
     def index_of(self, bits: int) -> int | None:
         """The index of the coset holding the unit bits, or None outside <gens>."""
@@ -204,11 +214,14 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     lies in Φ(G)·G_(k+1), Φ(G) = G^2·G' the Frattini subgroup.  By
     induction down k the other generators generate G modulo Φ(G), so they
     generate G (Burnside's basis theorem).  Each is tested by its doubled
-    row against its table.
+    row against its table, but for a generator whose commutators (gi, gj)
+    are all 1: it is central, and keeps every x.  A candidate z is an
+    x ≠ 1 of Z(G) outside G' with x·x = 1.
     """
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
-    comms = {group.generator_commutator(i, j)
+    pairs = {(i, j): group.generator_commutator(i, j)
              for i, j in combinations(range(1, group.n + 1), 2)}
+    comms = set(pairs.values())
     c = max(sorted(comms), key=group.element_order, default=0)
     derived, c_e = [0], c  # <c> in order, m products
     while c_e:
@@ -224,15 +237,14 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     right = group.right
     words = comms | {right[j][g] for j, g in enumerate(gens, start=1)}
     leaders = {w.bit_length() for w in words}  # gk's bit length is n + 1 - k
+    moved = {k for ij, comm in pairs.items() if comm for k in ij}  # the noncentral gk
     center = group.elements()
     for j, g in enumerate(gens, start=1):
-        if g.bit_length() not in leaders:
+        if j in moved and g.bit_length() not in leaders:
             row, table = doubled(right, 0, g), right[j]
             center = [x for x in center if row[x] == table[x]]
     center = tuple(center)
-    candidates = tuple(
-        x for x in center if group.element_order(x) == 2 and x not in members
-    )
+    candidates = tuple(x for x in center if x and not group.multiply(x, x) and x not in members)
     reason = None
     if not nonabelian:
         reason = REASON_ABELIAN

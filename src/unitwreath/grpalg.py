@@ -15,7 +15,7 @@ the tests compare the group-product paths against.
 from __future__ import annotations
 
 from . import kernels
-from .pcgroup import FiniteGroup, check_table_limit, doubled
+from .pcgroup import FiniteGroup, check_table_limit, compose, doubled
 
 
 class RowStore(dict):
@@ -23,8 +23,8 @@ class RowStore(dict):
 
     It starts with the identity's row.  A generator's row is doubled over
     the group's tables; the row of any other x = gl·w, where gl is the
-    leading letter of x, is gl's row composed with w's, x·y = gl·(w·y), and
-    w's row is kept too.
+    leading letter of x, is gl's row composed with w's, x·y = gl·(w·y)
+    (pcgroup.compose), and w's row is kept too.
     """
 
     def __init__(self, right: list):
@@ -38,7 +38,7 @@ class RowStore(dict):
         if x == lead:
             row = self[x] = doubled(self.right, 0, x)
         else:
-            row = self[x] = list(map(self[lead].__getitem__, self[x ^ lead]))
+            row = self[x] = compose(self[lead], self[x ^ lead])
         return row
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .grpalg import AlgebraElement
-from .pcgroup import closure
+from .pcgroup import closure, compose
 
 DEFAULT_CAP = 1 << 16
 
@@ -118,8 +118,8 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
     """Cayley table on 0..N-1 from the generators' left-multiplication rows.
 
     rows[k][y] is gk·y.  Every element x = gk·w that closure reaches from
-    identity gets its row by lookups, x·y = gk·(w·y), so the generators
-    must generate the group.
+    identity gets its row by composing gk's with w's, x·y = gk·(w·y)
+    (pcgroup.compose), so the generators must generate the group.
     """
     table: list = [None] * len(rows[0])
     table[identity] = list(range(len(table)))
@@ -127,7 +127,7 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
     def left(w: int, k: int) -> int:
         x = rows[k][w]
         if table[x] is None:
-            table[x] = list(map(rows[k].__getitem__, table[w]))
+            table[x] = compose(rows[k], table[w])
         return x
 
     closure(range(len(rows)), left, identity)

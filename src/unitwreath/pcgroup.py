@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -268,11 +269,24 @@ def closure(gens, multiply, identity, cap: int | None = None) -> set:
     return seen
 
 
+def compose(row, seq) -> list[int]:
+    """[row[i] for i in seq], in one C call: operator.itemgetter(*seq)(row).
+
+    Every row, column and table of the package is composed here.  row may
+    be a list or a dict; itemgetter returns a scalar for one index and
+    needs at least one, so those two lengths are built apart.
+    """
+    if len(seq) > 1:
+        return list(itemgetter(*seq)(row))
+    return [row[seq[0]]] if seq else []
+
+
 def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
     """[f(y) for y in G_(j+1)], where f(1) = start and f(w·gk) = f(w)·word(k).
 
     G_(j+1) is the indices below 2^(n-j); f doubles over y's last letter,
-    reading right[l][v] = v·gl.  The default word gives f(y) = start·y.
+    composing the half built so far with right[l][v] = v·gl (compose).  The
+    default word gives f(y) = start·y.
     """
     n = len(right) - 1
     out = [start] * (1 << (n - j))
@@ -280,7 +294,7 @@ def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
         bit = 1 << (n - k)
         seg = out[::2 * bit]
         for l in word(k):
-            seg = list(map(right[l].__getitem__, seg))
+            seg = compose(right[l], seg)
         out[bit::2 * bit] = seg
     return out
 

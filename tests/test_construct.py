@@ -354,8 +354,9 @@ def test_qualifying_corpus_groups_list_no_subgroup(monkeypatch, corpus_dir):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 15])
 def test_the_ladder_hypotheses_list_no_subgroup(monkeypatch, n, dihedral_times_c2):
     """D_(2^n) x C2 up to order 65,536: no closure lists G' = <r2>, and
-    the center's filter doubles the rows of r1, t and c alone, since
-    r2, ..., r(n-1) lead the squares and commutators."""
+    the center's filter doubles the rows of r1 and t alone, since
+    r2, ..., r(n-1) lead the squares and commutators and c commutes with
+    every generator."""
     group = load(dihedral_times_c2(n))
     rows, doubled = [], construct.doubled
 
@@ -366,10 +367,32 @@ def test_the_ladder_hypotheses_list_no_subgroup(monkeypatch, n, dihedral_times_c
     monkeypatch.setattr(construct, "doubled", counted)
     monkeypatch.setattr(construct, "closure", refuse_closure)
     report = check_hypotheses(group)
-    assert [group.word_str(x) for x in rows] == ["r1", "t", "c"]
+    assert [group.word_str(x) for x in rows] == ["r1", "t"]
     assert report.passed and report.derived_order == 1 << (n - 2)
     assert report.center_order == 4
     assert [group.word_str(z) for z in report.candidates_z] == ["c", f"r{n - 1}·c"]
+
+
+@pytest.mark.parametrize("k", [1, 4, 13])
+def test_the_center_filter_skips_the_central_generators(monkeypatch, k):
+    """D8 x C2^k, up to order 65,536: the center's filter doubles the rows
+    of r1 and t alone, of k + 3 generators.  r2 leads r1^2 and (t, r1),
+    and each ci commutes with every generator, so it keeps every x."""
+    cs = [f"c{i}" for i in range(1, k + 1)]
+    group = load(f"group D8xC2^{k}\ngens r1 r2 t {' '.join(cs)}\n"
+                 "pow r1 = r2\nconj t r1 = t r2\n")
+    rows, doubled = [], construct.doubled
+
+    def counted(right, j, start, *word):
+        rows.append(start)
+        return doubled(right, j, start, *word)
+
+    monkeypatch.setattr(construct, "doubled", counted)
+    report = check_hypotheses(group)
+    assert [group.word_str(x) for x in rows] == ["r1", "t"]
+    assert report.passed and report.derived_order == 2
+    assert report.center_order == 2 << k  # <r2, c1, ..., ck>
+    assert len(report.candidates_z) == (2 << k) - 2  # every involution but r2
 
 
 def test_the_hypotheses_and_the_search_reuse_the_commutators(monkeypatch, dihedral_times_c2):
@@ -737,6 +760,28 @@ def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
     q, k = section.quotient_order, section.kernel_order
     assert (len(orbit.units), q, k, section.verdict) == (4, 64, 2, True)
     assert len(calls) == 2 * q + (q - 1) * (k - 1)
+
+
+def assert_the_translates_are_products(group):
+    """Each kernel element t's column from QuotientGroup.translates is
+    [y·t for every y], collected; returns |K|."""
+    _, _, kernel = section_quotient(run_pipeline(group, use_oracle=False))
+    for t in (u.bits.bit_length() - 1 for u in kernel):
+        assert QuotientGroup.translates(group, t) == [
+            group.multiply(y, t) for y in group.elements()], (group.name, t)
+    return len(kernel)
+
+
+def test_the_translates_are_products_on_the_corpus(corpus_dir):
+    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
+    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
+    assert len(passing) == 24
+    assert {assert_the_translates_are_products(g) for g in passing} == {1, 2, 4}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_translates_are_products_on_the_ladder(n, dihedral_times_c2):
+    assert_the_translates_are_products(load(dihedral_times_c2(n)))
 
 
 def assert_a_coset_is_named_by_its_least_bitset(group):

@@ -4,7 +4,8 @@ kernels and pcgroup import no package module; every other module imports
 only from the layers below it, kernels, pcgroup < grpalg < oracle <
 construct < catalog < cli; and no function body imports a package module,
 so no import is deferred to hide a cycle.  __init__ is exempt from the
-order: it re-exports the public names.
+order: it re-exports the public names.  Rows are composed by
+pcgroup.compose alone.
 """
 
 import ast
@@ -62,3 +63,25 @@ def test_no_function_imports_a_package_module(path):
         if package_imports(node)
     ]
     assert not deferred, f"{path.stem} imports a package module inside {deferred}"
+
+
+def is_composition(node) -> bool:
+    """map(<x>.__getitem__, ...) or an itemgetter call: a row composed in place."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+        return False
+    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+    if name == "itemgetter":
+        return True
+    return (name == "map" and bool(node.args) and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "__getitem__")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_rows_are_composed_by_compose_alone(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kernel = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and path.stem == "pcgroup"
+              and func.name == "compose" for node in ast.walk(func)}
+    found = [node.lineno for node in ast.walk(tree)
+             if is_composition(node) and id(node) not in kernel]
+    assert not found, f"{path.stem} composes rows outside pcgroup.compose at lines {found}"

@@ -397,6 +397,27 @@ def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_ti
         assert rows[x] == [mul(x, y) for y in everything]
 
 
+def assert_compose_picks(row, seq):
+    """compose(row, seq) is the list [row[i] for i in seq], with seq a list
+    or a tuple and row a list or a dict on the same indices."""
+    for r in (row, dict(enumerate(row))):
+        for q in (list(seq), tuple(seq)):
+            got = pcgroup.compose(r, q)
+            assert type(got) is list and got == [r[i] for i in q]
+
+
+@pytest.mark.parametrize("seq", [[], [3], [4, 1], [2, 2]], ids=["empty", "one", "two", "repeat"])
+def test_compose_on_short_sequences(seq):
+    """itemgetter returns a scalar for one index and refuses none."""
+    assert_compose_picks([10, 11, 12, 13, 14], seq)
+
+
+@given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=64).flatmap(
+    lambda row: st.tuples(st.just(row), st.lists(st.integers(0, len(row) - 1), max_size=100))))
+def test_compose_on_random_sequences(row_seq):
+    assert_compose_picks(*row_seq)
+
+
 def test_inverses_above_the_table_limit(dihedral_times_c2):
     """D512 x C2 (order 1024) is above the group algebra's table limit, so
     neither the algebra nor the full table is built, and its inverses and

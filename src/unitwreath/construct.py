@@ -16,7 +16,7 @@ from itertools import combinations
 from . import kernels, oracle
 from .grpalg import AlgebraElement, GroupAlgebra
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table, table_from_rows
-from .pcgroup import ClosureCapError, FiniteGroup, closure, compose, doubled
+from .pcgroup import ClosureCapError, FiniteGroup, closure, compose
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -138,8 +138,8 @@ class QuotientGroup:
     once, and rows[k][i] is the index of gens[k]·reps[i].  A product is
     one XOR per support element of the representative, through the
     generator's columns (kernels.apply), and so is a kernel translate y·t,
-    through the column gj ↦ gj·t of the group element t (translates): only
-    the rows of the generators' supports are read.  Every member of each
+    through the column gj ↦ gj·t of the group element t (FiniteGroup.column):
+    only the rows of the generators' supports are read.  Every member of each
     coset found maps to its representative, so a product lands on its
     coset in one lookup, and so does index_of.  The rows are the products
     composed with the reps and then with the index (pcgroup.compose).  The
@@ -150,8 +150,7 @@ class QuotientGroup:
                  cap: int = oracle.DEFAULT_CAP):
         algebra, apply = gens[0].algebra, kernels.apply
         cols = [algebra._conv.columns(g.bits) for g in gens]
-        group = algebra.group
-        shifts = [[1 << y for y in self.translates(group, t.bits.bit_length() - 1)]
+        shifts = [[1 << y for y in algebra.group.column(t.bits.bit_length() - 1)]
                   for t in kernel if t.bits != 1]
 
         products = [{} for _ in gens]  # products[k][x] = the rep of gens[k]·x
@@ -174,15 +173,6 @@ class QuotientGroup:
         self.order = len(self.reps)
         self._index = index = {r: i for i, r in enumerate(self.reps)}
         self.rows = [compose(index, compose(row, self.reps)) for row in products]
-
-    @staticmethod
-    def translates(group: FiniteGroup, t: int) -> list[int]:
-        """[y·t for y in group]: the tables of t's letters composed in letter order."""
-        column = list(group.elements())
-        for j in range(1, group.n + 1):
-            if t >> (group.n - j) & 1:
-                column = compose(group.right[j], column)
-        return column
 
     def index_of(self, bits: int) -> int | None:
         """The index of the coset holding the unit bits, or None outside <gens>."""
@@ -213,10 +203,10 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     (gi, gj).  A gk that leads (is the first letter of) one of those words
     lies in Φ(G)·G_(k+1), Φ(G) = G^2·G' the Frattini subgroup.  By
     induction down k the other generators generate G modulo Φ(G), so they
-    generate G (Burnside's basis theorem).  Each is tested by its doubled
-    row against its table, but for a generator whose commutators (gi, gj)
-    are all 1: it is central, and keeps every x.  A candidate z is an
-    x ≠ 1 of Z(G) outside G' with x·x = 1.
+    generate G (Burnside's basis theorem).  Each g is tested by its row
+    x ↦ g·x against its column x ↦ x·g, but for a generator whose
+    commutators (gi, gj) are all 1: it is central, and keeps every x.  A
+    candidate z is an x ≠ 1 of Z(G) outside G' with x·x = 1.
     """
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
     pairs = {(i, j): group.generator_commutator(i, j)
@@ -234,15 +224,14 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
         derived, c = sorted(members), None
     nonabelian = len(derived) > 1
 
-    right = group.right
-    words = comms | {right[j][g] for j, g in enumerate(gens, start=1)}
+    words = comms | {group.multiply(g, g) for g in gens}
     leaders = {w.bit_length() for w in words}  # gk's bit length is n + 1 - k
     moved = {k for ij, comm in pairs.items() if comm for k in ij}  # the noncentral gk
     center = group.elements()
     for j, g in enumerate(gens, start=1):
         if j in moved and g.bit_length() not in leaders:
-            row, table = doubled(right, 0, g), right[j]
-            center = [x for x in center if row[x] == table[x]]
+            row, column = group.row(g), group.column(g)
+            center = [x for x in center if row[x] == column[x]]
     center = tuple(center)
     candidates = tuple(x for x in center if x and not group.multiply(x, x) and x not in members)
     reason = None
@@ -467,17 +456,23 @@ def build_section(
     tests the quotient, and --oracle runs here alone: the isomorphism search
     for s <= ORACLE_MAX_S, and above that a detail saying it was skipped.
     """
-    group = algebra.group
+    group, m = algebra.group, 1 << w.s
     gens = [orbit.units[0], algebra.embed(w.a)]
-    a_pow = algebra.embed(group.power(w.a, 1 << w.s))
-    kernel = bfs_closure([a_pow], cap=cap)
+    a_pow = algebra.embed(group.power(w.a, m))
+    try:
+        kernel = bfs_closure([a_pow], cap=cap)
+    except ClosureCapError as exc:
+        raise ClosureCapError(f"the section's kernel <a^{m}>: {exc}") from exc
 
     checks = dict(base_checks)
     checks["orbit-closed-form"] = True  # build_orbit already enforced it
     # the kernel <a^m> is central in <h_0, a> exactly when a^m commutes with both
     checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
-    quotient = QuotientGroup(gens, kernel, cap=cap)
+    try:
+        quotient = QuotientGroup(gens, kernel, cap=cap)
+    except ClosureCapError as exc:
+        raise ClosureCapError(f"the section's quotient <h_0, a>/<a^{m}>: {exc}") from exc
     images = [quotient.index_of(u.bits) for u in orbit.units]
     outside = [k for k, image in enumerate(images) if image is None]
     if outside:
@@ -494,8 +489,8 @@ def build_section(
         quotient_order=quotient.order,
     )
     checks["quotient-order"] = (
-        quotient.order == 1 << ((1 << w.s) + w.s)
-        and ambient_order == (1 << (1 << w.s)) * (1 << w.k)
+        quotient.order == 1 << (m + w.s)
+        and ambient_order == (1 << m) * (1 << w.k)
         and len(kernel) == 1 << (w.k - w.s)
     )
 

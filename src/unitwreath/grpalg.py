@@ -3,8 +3,8 @@
 An algebra element is a subset of the group, stored as an int bitset over
 the group's canonical element index.  Addition is symmetric difference,
 multiplication is convolution through left-multiplication rows, which the
-algebra builds from the group's tables as it reads them and keeps (a
-RowStore), so the algebra is built only up to pcgroup.CAYLEY_LIMIT.
+algebra takes from the group (FiniteGroup.row) as it reads them and keeps
+(a RowStore), so the algebra is built only up to pcgroup.CAYLEY_LIMIT.
 Odd-support elements are exactly the normalized units: the augmentation
 ideal of a 2-group algebra in characteristic 2 is nilpotent, so they are
 invertible with 2-power order.  `unit_order`, `inverse_unit` and
@@ -15,30 +15,24 @@ the tests compare the group-product paths against.
 from __future__ import annotations
 
 from . import kernels
-from .pcgroup import FiniteGroup, check_table_limit, compose, doubled
+from .pcgroup import FiniteGroup, check_table_limit
 
 
 class RowStore(dict):
     """Left-multiplication rows by element, store[x][y] = x·y, built on first use.
 
-    It starts with the identity's row.  A generator's row is doubled over
-    the group's tables; the row of any other x = gl·w, where gl is the
-    leading letter of x, is gl's row composed with w's, x·y = gl·(w·y)
-    (pcgroup.compose), and w's row is kept too.
+    It starts with the identity's row; every other row is the group's,
+    FiniteGroup.row, kept once read.
     """
 
-    def __init__(self, right: list):
-        super().__init__({0: list(range(len(right[-1])))})
-        self.right = right  # right[j][x] = x·gj
+    def __init__(self, group: FiniteGroup):
+        super().__init__({0: list(group.elements())})
+        self.group = group
 
     def __missing__(self, x: int) -> list[int]:
-        if not 0 < x < len(self[0]):
+        if not 0 < x < self.group.order:
             raise IndexError(f"element index {x} out of range")
-        lead = 1 << (x.bit_length() - 1)
-        if x == lead:
-            row = self[x] = doubled(self.right, 0, x)
-        else:
-            row = self[x] = compose(self[lead], self[x ^ lead])
+        row = self[x] = self.group.row(x)
         return row
 
 
@@ -49,7 +43,7 @@ class GroupAlgebra:
         check_table_limit(group)
         self.group = group
         self.order = group.order
-        self._conv = kernels.Convolver(RowStore(group.right))
+        self._conv = kernels.Convolver(RowStore(group))
 
     # --- constructors -----------------------------------------------------
 

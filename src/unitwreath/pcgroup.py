@@ -11,15 +11,14 @@ integer order on indices is the lexicographic order on exponent vectors.
 Products are read off one table per generator, right[j][x] = x·gj, built
 at load layer by layer: G_j = <gj, ..., gn> extends G_(j+1) by gj, and
 x = H·L with H on letters <= j and L in G_(j+1) gives x·gj = H·gj·L^gj
-(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Besides the
-tables the group keeps only its inverses: a left-multiplication row
-y ↦ x·y is doubled over the tables by whatever reads it, and the group
-algebra alone keeps the rows it convolves with.  FiniteGroup closes and
-filters no subgroup: the hypothesis check (construct.check_hypotheses)
+(Sims 1994, ch. 9; Holt, Eick and O'Brien 2005, ch. 8).  Only this module
+reads the tables: others take a row y ↦ x·y from FiniteGroup.row and a
+column y ↦ y·t from FiniteGroup.column, and the group algebra alone keeps
+the rows it convolves with.  The group keeps only its inverses besides.
+FiniteGroup closes and filters no subgroup: construct.check_hypotheses
 reads G' off the generators' commutators and filters Z(G) against the
 few generators that lead no square or commutator.  The module holds the
-Cayley-table limit, CAYLEY_LIMIT, the load limit, LOAD_LIMIT, and imports
-nothing from the package.
+limits CAYLEY_LIMIT and LOAD_LIMIT and imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class TableLimitError(PcError):
 # for every support element, and the enumerating checks can read them all.
 CAYLEY_LIMIT = 512
 
-# The largest group order that loads: the tables x·gj hold n·order ints,
-# about 245 MB at peak for D8 x C2^15 (order 2^18).
+# The largest group order that loads: the tables x·gj hold n·order ints; loading
+# D8 x C2^15 (order 2^18) peaks at 205 MB (ru_maxrss of a fresh CPython 3.11).
 LOAD_LIMIT = 1 << 18
 
 
@@ -305,9 +304,9 @@ class FiniteGroup:
     All operations are pure.  Construction builds `right`, right[j][x] = x·gj
     (n·order entries), then proves the presentation consistent by the
     overlap test, so that the tables hold the products of a group of order
-    2^n.  `multiply` reads y's letters off the tables; `cayley` doubles the
-    rows it reads and keeps none of them.  Inverses are memoized, and
-    nothing else is kept.
+    2^n.  `multiply` reads y's letters off the tables; `row`, `column` and
+    `cayley` build rows x·y and columns y·t and keep none.  Inverses are
+    memoized, and nothing else is kept.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -384,9 +383,21 @@ class FiniteGroup:
 
     @property
     def cayley(self) -> list[list[int]]:
-        """Every row, each doubled over the tables; TableLimitError above CAYLEY_LIMIT."""
+        """Every row; TableLimitError above CAYLEY_LIMIT."""
         check_table_limit(self)
-        return [doubled(self.right, 0, x) for x in self.elements()]
+        return [self.row(x) for x in self.elements()]
+
+    def row(self, x: int) -> list[int]:
+        """[x·y for y in G], doubled over the tables."""
+        return doubled(self.right, 0, x)
+
+    def column(self, t: int) -> list[int]:
+        """[y·t for y in G]: the tables of t's letters composed in letter order."""
+        column, top = list(self.elements()), self.n + 1
+        while t:  # the first letter of t is g_(n + 1 - t.bit_length()), as in multiply
+            column = compose(self.right[top - t.bit_length()], column)
+            t ^= 1 << (t.bit_length() - 1)
+        return column
 
     # --- core operations ------------------------------------------------
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from unitwreath.catalog import default_corpus_dir
+from unitwreath.construct import check_hypotheses
 from unitwreath.grpalg import GroupAlgebra
 from unitwreath.pcgroup import PcPresentation, load_file
 
@@ -19,6 +20,24 @@ conj w x = w y
 @pytest.fixture(scope="session")
 def corpus_dir():
     return default_corpus_dir()
+
+
+def corpus_paths():
+    """Every o16 and o32 presentation file, o16 first, each in name order."""
+    corpus = default_corpus_dir()
+    return sorted(corpus.glob("o16/*.pc2")) + sorted(corpus.glob("o32/*.pc2"))
+
+
+@pytest.fixture(scope="session")
+def qualifying_paths():
+    """The 24 o16/o32 files whose groups pass the hypotheses.
+
+    Paths, not groups: each test loads its own, so no memo of one test's
+    group (the inverses) reaches another.
+    """
+    paths = [p for p in corpus_paths() if check_hypotheses(load_file(p)).passed]
+    assert len(paths) == 24
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -298,6 +298,16 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1 and "cap 32" in err
 
+    def test_a_capped_section_names_its_closure(self, capsys, corpus_dir):
+        # o32_45 (m = 4): 2|X| = 32 fits the cap, the quotient's 64 cosets do
+        # not; one file and a sweep name the same closure
+        path = corpus_dir / "o32" / "o32_45.pc2"
+        message = "the section's quotient <h_0, a>/<a^4>: closure exceeded cap 40"
+        code, out, err = run(capsys, "verify", str(path), "--cap", "40")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        code, out, _ = run(capsys, "verify", str(path.parent), "--cap", "40", "--json")
+        assert {"name": "o32_45", "error": message} in json.loads(out)["census"]["errors"]
+
     def test_cap_bounds_the_base_group(self, dihedral_file):
         # D128 x C2 (s = 5): X would have 2^32 elements, so <X, a> at least
         # 2^33, which the pipeline refuses before the witness search; the

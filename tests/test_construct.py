@@ -8,7 +8,7 @@ from conftest import (
     qualifying_presentations,
     twisted_presentations,
 )
-from unitwreath import construct, kernels
+from unitwreath import construct, kernels, pcgroup
 from unitwreath.cli import _dump
 from unitwreath.construct import (
     REASON_ABELIAN,
@@ -33,6 +33,7 @@ from unitwreath.oracle import bfs_closure, reference_table, reference_wreath
 from unitwreath.pcgroup import (
     ClosureCapError,
     ConsistencyError,
+    FiniteGroup,
     closure,
     load,
     load_file,
@@ -217,11 +218,8 @@ def assert_exponents_give_the_commutators(group):
     ], group.name
 
 
-def test_exponents_give_the_commutators_on_the_corpus(corpus_dir):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
-    assert len(passing) == 24
-    for group in passing:
+def test_exponents_give_the_commutators_on_the_corpus(qualifying_paths):
+    for group in map(load_file, qualifying_paths):
         assert_exponents_give_the_commutators(group)
 
 
@@ -340,15 +338,25 @@ def refuse_closure(*args, **kwargs):
     raise AssertionError("check_hypotheses listed a subgroup")
 
 
-def test_qualifying_corpus_groups_list_no_subgroup(monkeypatch, corpus_dir):
+def test_qualifying_corpus_groups_list_no_subgroup(monkeypatch, qualifying_paths):
     """The cyclic test decides G' from the generator commutators alone on
     every qualifying o16/o32 group, with the report unchanged."""
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [(g, r) for g in map(load_file, paths) if (r := check_hypotheses(g)).passed]
-    assert len(passing) == 24
+    passing = [(g, check_hypotheses(g)) for g in map(load_file, qualifying_paths)]
     monkeypatch.setattr(construct, "closure", refuse_closure)
     for group, report in passing:
         assert check_hypotheses(group) == report, group.name
+
+
+def counted_rows(monkeypatch) -> list[int]:
+    """The x of every FiniteGroup.row(x) call from now on, in call order."""
+    rows, row = [], FiniteGroup.row
+
+    def counted(group, x):
+        rows.append(x)
+        return row(group, x)
+
+    monkeypatch.setattr(FiniteGroup, "row", counted)
+    return rows
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 15])
@@ -358,13 +366,7 @@ def test_the_ladder_hypotheses_list_no_subgroup(monkeypatch, n, dihedral_times_c
     r2, ..., r(n-1) lead the squares and commutators and c commutes with
     every generator."""
     group = load(dihedral_times_c2(n))
-    rows, doubled = [], construct.doubled
-
-    def counted(right, j, start, *word):
-        rows.append(start)
-        return doubled(right, j, start, *word)
-
-    monkeypatch.setattr(construct, "doubled", counted)
+    rows = counted_rows(monkeypatch)
     monkeypatch.setattr(construct, "closure", refuse_closure)
     report = check_hypotheses(group)
     assert [group.word_str(x) for x in rows] == ["r1", "t"]
@@ -381,13 +383,7 @@ def test_the_center_filter_skips_the_central_generators(monkeypatch, k):
     cs = [f"c{i}" for i in range(1, k + 1)]
     group = load(f"group D8xC2^{k}\ngens r1 r2 t {' '.join(cs)}\n"
                  "pow r1 = r2\nconj t r1 = t r2\n")
-    rows, doubled = [], construct.doubled
-
-    def counted(right, j, start, *word):
-        rows.append(start)
-        return doubled(right, j, start, *word)
-
-    monkeypatch.setattr(construct, "doubled", counted)
+    rows = counted_rows(monkeypatch)
     report = check_hypotheses(group)
     assert [group.word_str(x) for x in rows] == ["r1", "t"]
     assert report.passed and report.derived_order == 2
@@ -436,12 +432,8 @@ def assert_orbit_is_iterated_conjugation(group):
     assert_units_are_iterated_conjugates(build_orbit(GroupAlgebra(group), w).units, w.a)
 
 
-def test_orbit_equals_iterated_conjugate_unit_on_the_corpus(corpus_dir):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    groups = [load_file(p) for p in paths]
-    passing = [g for g in groups if check_hypotheses(g).passed]
-    assert len(passing) == 24
-    for group in passing:
+def test_orbit_equals_iterated_conjugate_unit_on_the_corpus(qualifying_paths):
+    for group in map(load_file, qualifying_paths):
         assert_orbit_is_iterated_conjugation(group)
 
 
@@ -500,8 +492,9 @@ def test_the_witness_search_keeps_no_row_per_candidate(corpus_dir, dihedral_time
 
 
 def test_the_witness_search_builds_no_table(monkeypatch, corpus_dir, dihedral_times_c2):
-    """After the hypotheses, the search doubles no row over the tables:
-    on o32_45 and on D512 x C2 in both generator orders."""
+    """After the hypotheses, the search doubles no row over the tables and
+    composes no column: on o32_45 and on D512 x C2 in both generator
+    orders."""
     texts = [(corpus_dir / "o32" / "o32_45.pc2").read_text(), dihedral_times_c2(9),
              t_first_d512xc2()]
     groups = [(group, check_hypotheses(group)) for group in map(load, texts)]
@@ -509,7 +502,8 @@ def test_the_witness_search_builds_no_table(monkeypatch, corpus_dir, dihedral_ti
     def refuse(*args, **kwargs):
         raise AssertionError("the witness search built a table")
 
-    monkeypatch.setattr(construct, "doubled", refuse)
+    monkeypatch.setattr(pcgroup, "doubled", refuse)
+    monkeypatch.setattr(pcgroup, "compose", refuse)
     witnesses = [select_witness(group, report) for group, report in groups]
     assert [(g.word_str(w.b), g.word_str(w.a)) for (g, _), w in zip(groups, witnesses)] == [
         ("a", "b"), ("t", "r1"), ("t", "r1")]
@@ -594,11 +588,8 @@ def assert_base_is_the_closure_of_the_orbit(group):
     )
 
 
-def test_base_is_the_closure_of_the_orbit_on_the_corpus(corpus_dir):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
-    assert len(passing) == 24
-    for group in passing:
+def test_base_is_the_closure_of_the_orbit_on_the_corpus(qualifying_paths):
+    for group in map(load_file, qualifying_paths):
         assert_base_is_the_closure_of_the_orbit(group)
 
 
@@ -674,15 +665,11 @@ class TestSection:
         rj = data.draw(st.sampled_from(coset(j)))
         assert conv(ri, rj) in coset(table.mul(i, j))
 
-    def test_generator_row_table_matches_representative_products(self, corpus_dir):
+    def test_generator_row_table_matches_representative_products(self, qualifying_paths):
         # the brute-force reference: the listed <gens> sorted into cosets, and
         # every pair of coset representatives convolved
-        checked = 0
-        paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-        for path in paths:
+        for path in qualifying_paths:
             result = run_pipeline(load_file(path), use_oracle=False)
-            if not result.hypothesis.passed:
-                continue
             quotient, gens, kernel = section_quotient(result)
             conv = gens[0].algebra._conv.convolve
             ambient = bfs_closure(gens)
@@ -697,8 +684,6 @@ class TestSection:
                 [coset_of[conv(ri, rj)] for rj in reps] for ri in reps
             ], path.stem
             assert result.section.ambient_order == len(ambient), path.stem
-            checked += 1
-        assert checked == 24
 
 
 def assert_two_generators_give_the_quotient(group):
@@ -712,11 +697,8 @@ def assert_two_generators_give_the_quotient(group):
     assert [pair.index_of(g.bits) for g in gens] == [row[0] for row in full.rows], group.name
 
 
-def test_two_generators_give_the_quotient_on_the_corpus(corpus_dir):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
-    assert len(passing) == 24
-    for group in passing:
+def test_two_generators_give_the_quotient_on_the_corpus(qualifying_paths):
+    for group in map(load_file, qualifying_paths):
         assert_two_generators_give_the_quotient(group)
 
 
@@ -747,6 +729,17 @@ def test_a_unit_outside_the_section_is_named(k, corpus_dir):
                       use_oracle=False, base_checks=base_checks)
 
 
+@pytest.mark.parametrize("cap, closure_name", [(1, "kernel <a^4>"),
+                                                (40, "quotient <h_0, a>/<a^4>")])
+def test_a_capped_section_closure_is_named(cap, closure_name, corpus_dir):
+    """o32_45: the kernel <a^4> has 2 elements and the quotient 64 cosets;
+    a closure past the cap raises an error that names it."""
+    algebra, w, base, orbit, base_checks = o32_45_section_inputs(corpus_dir)
+    with pytest.raises(ClosureCapError) as info:
+        build_section(algebra, w, base, orbit, cap=cap, base_checks=base_checks)
+    assert str(info.value) == f"the section's {closure_name}: closure exceeded cap {cap}"
+
+
 def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
     """build_section on o32_45 closes the quotient from h_0 and a: two
     products per coset and |K| - 1 kernel translates of each coset but the
@@ -763,20 +756,18 @@ def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
 
 
 def assert_the_translates_are_products(group):
-    """Each kernel element t's column from QuotientGroup.translates is
+    """Each kernel element t's column, FiniteGroup.column(t), is
     [y·t for every y], collected; returns |K|."""
     _, _, kernel = section_quotient(run_pipeline(group, use_oracle=False))
     for t in (u.bits.bit_length() - 1 for u in kernel):
-        assert QuotientGroup.translates(group, t) == [
+        assert group.column(t) == [
             group.multiply(y, t) for y in group.elements()], (group.name, t)
     return len(kernel)
 
 
-def test_the_translates_are_products_on_the_corpus(corpus_dir):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
-    assert len(passing) == 24
-    assert {assert_the_translates_are_products(g) for g in passing} == {1, 2, 4}
+def test_the_translates_are_products_on_the_corpus(qualifying_paths):
+    groups = map(load_file, qualifying_paths)
+    assert {assert_the_translates_are_products(g) for g in groups} == {1, 2, 4}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -800,11 +791,9 @@ def assert_a_coset_is_named_by_its_least_bitset(group):
     return len(kernel)
 
 
-def test_a_coset_is_named_by_its_least_bitset_on_the_corpus(corpus_dir):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
-    assert len(passing) == 24
-    assert {assert_a_coset_is_named_by_its_least_bitset(g) for g in passing} == {1, 2, 4}
+def test_a_coset_is_named_by_its_least_bitset_on_the_corpus(qualifying_paths):
+    groups = map(load_file, qualifying_paths)
+    assert {assert_a_coset_is_named_by_its_least_bitset(g) for g in groups} == {1, 2, 4}
 
 
 @pytest.mark.parametrize("n", [4, 5])

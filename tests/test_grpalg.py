@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_paths
 from unitwreath import kernels
 from unitwreath.grpalg import (
     GroupAlgebra,
@@ -222,17 +223,16 @@ class TestKernel:
         assert conv.convolve(u, v) == expected
 
 
-def kernel_groups(corpus_dir, dihedral_times_c2):
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    return [load_file(p) for p in paths] + [load(dihedral_times_c2(n)) for n in (4, 5, 6)]
+def kernel_groups(dihedral_times_c2):
+    return [load_file(p) for p in corpus_paths()] + [load(dihedral_times_c2(n)) for n in (4, 5, 6)]
 
 
-def test_columns_then_apply_is_convolve(corpus_dir, dihedral_times_c2):
+def test_columns_then_apply_is_convolve(dihedral_times_c2):
     """apply(columns(u), v) = u·v, and apply over the columns gj ↦ gj·t is
     v·t, on every o16/o32 group and D_(2^n) x C2 for n = 4..6, for u = 0, 1
     and random u, v and t; the rows are each algebra's own RowStore."""
     rng = random.Random(19)
-    groups = kernel_groups(corpus_dir, dihedral_times_c2)
+    groups = kernel_groups(dihedral_times_c2)
     assert len(groups) == 14 + 51 + 3
     for group in groups:
         conv = GroupAlgebra(group)._conv

@@ -5,7 +5,7 @@ only from the layers below it, kernels, pcgroup < grpalg < oracle <
 construct < catalog < cli; and no function body imports a package module,
 so no import is deferred to hide a cycle.  __init__ is exempt from the
 order: it re-exports the public names.  Rows are composed by
-pcgroup.compose alone.
+pcgroup.compose alone, and pcgroup alone reads its product tables.
 """
 
 import ast
@@ -85,3 +85,19 @@ def test_rows_are_composed_by_compose_alone(path):
     found = [node.lineno for node in ast.walk(tree)
              if is_composition(node) and id(node) not in kernel]
     assert not found, f"{path.stem} composes rows outside pcgroup.compose at lines {found}"
+
+
+def reads_the_tables(node) -> bool:
+    """An attribute named right, or the name doubled: the tables read in place."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("right", "doubled")
+    if isinstance(node, ast.Name):
+        return node.id == "doubled"
+    return isinstance(node, ast.alias) and "doubled" in (node.name, node.asname)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "pcgroup"], ids=lambda p: p.stem)
+def test_the_tables_are_read_by_pcgroup_alone(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if reads_the_tables(node)]
+    assert not found, f"{path.stem} reads the product tables outside pcgroup at lines {found}"

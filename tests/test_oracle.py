@@ -4,7 +4,7 @@ import random
 import pytest
 
 from unitwreath import construct, oracle
-from unitwreath.construct import check_hypotheses, run_pipeline, verify_wreath
+from unitwreath.construct import run_pipeline, verify_wreath
 from unitwreath.grpalg import conjugate_unit
 from unitwreath.oracle import (
     TableGroup,
@@ -250,13 +250,11 @@ class TestGeneratorImageSearch:
         assert len(leaves) < 400
 
 
-def test_each_section_quotient_is_accepted_at_its_first_leaf(monkeypatch, corpus_dir):
+def test_each_section_quotient_is_accepted_at_its_first_leaf(monkeypatch, qualifying_paths):
     """On the 24 qualifying o16/o32 groups, the oracle's search over the
     basis extends one image tuple per section quotient, and it is an
     isomorphism onto the reference wreath product."""
-    paths = sorted(corpus_dir.glob("o16/*.pc2")) + sorted(corpus_dir.glob("o32/*.pc2"))
-    passing = [g for g in map(load_file, paths) if check_hypotheses(g).passed]
-    assert len(passing) == 24
+    passing = [load_file(p) for p in qualifying_paths]
     searches = counted(monkeypatch, construct, "isomorphic_small")
     leaves = counted(monkeypatch, oracle, "_extend_isomorphism")
     for k, group in enumerate(passing, start=1):

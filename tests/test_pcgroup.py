@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import D8_SQUARED, assert_holds_no_row, twisted_presentations
+from conftest import D8_SQUARED, assert_holds_no_row, corpus_paths, twisted_presentations
 from unitwreath import pcgroup
 from unitwreath.catalog import default_corpus_dir
 from unitwreath.construct import REASON_NOT_CYCLIC, check_hypotheses
@@ -355,9 +355,7 @@ LADDER = range(4, 9)  # D_(2^n) x C2 for n = 4..8: orders 32 to 512
 
 def equivalence_cases():
     """Every o16 and o32 file, then the ladder's n."""
-    corpus = default_corpus_dir()
-    paths = sorted(corpus.glob("o16/*.pc2")) + sorted(corpus.glob("o32/*.pc2"))
-    return [pytest.param(p, id=p.stem) for p in paths] + [
+    return [pytest.param(p, id=p.stem) for p in corpus_paths()] + [
         pytest.param(n, id=f"D{1 << n}xC2") for n in LADDER
     ]
 
@@ -391,10 +389,11 @@ def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_ti
     mul = group.multiply
     for x in everything:
         assert mul(x, group.inverse(x)) == 0
-    rows = RowStore(group.right)  # a fresh algebra's rows: none but the identity's yet
+    rows = RowStore(group)  # a fresh algebra's rows: none but the identity's yet
     for x in sample(group):
         assert pcgroup.doubled(group.right, 0, x) == [mul(x, y) for y in everything]
         assert rows[x] == [mul(x, y) for y in everything]
+        assert group.column(x) == [mul(y, x) for y in everything]
 
 
 def assert_compose_picks(row, seq):

@@ -39,7 +39,8 @@ def default_corpus_dir() -> Path:
 def load_entries(directory, order_filter: int | None = None) -> list[CatalogEntry]:
     directory = Path(directory)
     if not directory.is_dir():
-        raise NotADirectoryError(str(directory))
+        why = "Not a directory" if directory.exists() else "No such file or directory"  # strerror
+        raise NotADirectoryError(f"{directory}: {why}")
     entries = []
     for path in sorted(directory.rglob("*.pc2")):
         entry = CatalogEntry(name=path.stem)

@@ -11,7 +11,8 @@ Every step is recorded as a named boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
+from operator import eq
 
 from . import kernels, oracle
 from .grpalg import AlgebraElement, GroupAlgebra
@@ -205,8 +206,10 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     induction down k the other generators generate G modulo Φ(G), so they
     generate G (Burnside's basis theorem).  Each g is tested by its row
     x ↦ g·x against its column x ↦ x·g, but for a generator whose
-    commutators (gi, gj) are all 1: it is central, and keeps every x.  A
-    candidate z is an x ≠ 1 of Z(G) outside G' with x·x = 1.
+    commutators (gi, gj) are all 1: it is central, and keeps every x.  The
+    filter is C-level, compress(center, map(eq, row, column)), with row and
+    column composed over the surviving center past the first generator
+    tested.  A candidate z is an x ≠ 1 of Z(G) outside G' with x·x = 1.
     """
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
     pairs = {(i, j): group.generator_commutator(i, j)
@@ -231,7 +234,9 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     for j, g in enumerate(gens, start=1):
         if j in moved and g.bit_length() not in leaders:
             row, column = group.row(g), group.column(g)
-            center = [x for x in center if row[x] == column[x]]
+            if len(center) < group.order:  # past the first: the survivors' entries
+                row, column = compose(row, center), compose(column, center)
+            center = list(compress(center, map(eq, row, column)))
     center = tuple(center)
     candidates = tuple(x for x in center if x and not group.multiply(x, x) and x not in members)
     reason = None
@@ -378,24 +383,25 @@ def select_witness(
 def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
     """The conjugates h_i = h^(a^i) = 1 + b_i(1+z) of h = 1 + b(1+z), b_i = b^(a^i).
 
-    b_(i+1) = b_i^a is one conjugation, so the m units take O(m) group
-    products.  Conjugation by a carries h_i's support {1, b_i, b_i·z} onto
-    h_(i+1)'s when (b_i·z)^a = b_(i+1)·z, which a central z makes true; the
-    orbit wraps when b_m = b.
+    Conjugation by a, an automorphism, carries h_i's support {1, b_i, b_i·z}
+    onto {1, b_(i+1), b_(i+1)·z^a}: the closed form holds for every i exactly
+    when z^a = z, which one conjugation checks (a failure shows at i = 1).
+    Each unit then costs b_i·z and b_(i+1) = b_i^a, and its bitset is that
+    of from_support((0, b_i, b_i·z)).  The orbit wraps when b_m = b.
     """
-    group = algebra.group
-    units, b_i = [], w.b
-    for i in range(1 << w.s):
-        b_iz = group.multiply(b_i, w.z)
-        units.append(algebra.from_support((0, b_i, b_iz)))
-        b_i, got = group.conjugate(b_i, w.a), group.conjugate(b_iz, w.a)
-        expected = group.multiply(b_i, w.z)
-        if got != expected:
-            raise ConstructionError(
-                f"orbit closed form fails at i={i + 1}: (b_{i}·z)^a is "
-                f"{group.word_str(got)}, not b_{i + 1}·z = {group.word_str(expected)}"
-            )
-    if b_i != w.b:
+    group, a, b, z = algebra.group, w.a, w.b, w.z
+    if group.conjugate(z, a) != z:
+        got = group.conjugate(group.multiply(b, z), a)
+        expected = group.multiply(group.conjugate(b, a), z)
+        raise ConstructionError(
+            f"orbit closed form fails at i=1: (b_0·z)^a is "
+            f"{group.word_str(got)}, not b_1·z = {group.word_str(expected)}"
+        )
+    units, b_i = [], b
+    for _ in range(1 << w.s):
+        units.append(AlgebraElement(algebra, 1 ^ (1 << b_i) ^ (1 << group.multiply(b_i, z))))
+        b_i = group.conjugate(b_i, a)
+    if b_i != b:
         raise ConstructionError("orbit does not wrap around under conjugation by a")
     return BaseOrbit(units=tuple(units))
 

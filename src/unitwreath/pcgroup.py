@@ -182,10 +182,11 @@ def parse_presentation(text: str, name_hint: str = "<input>") -> PcPresentation:
         elif kw == "pow":
             if not gens:
                 raise ParseError(f"{name_hint}:{where}: pow before gens")
-            m = re.match(r"pow\s+(\S+)\s*=\s*(.*)$", line)
-            if not m:
+            head, sep, rhs = line.partition("=")
+            head = head.split()
+            if not sep or len(head) != 2:
                 raise ParseError(f"{name_hint}:{where}: expected 'pow <g> = <word>'")
-            g, rhs = m.group(1), m.group(2).split()
+            g, rhs = head[1], rhs.split()
             if g not in gen_index:
                 raise ParseError(f"{name_hint}:{where}: unknown generator {g!r}")
             i = gen_index[g]
@@ -197,10 +198,11 @@ def parse_presentation(text: str, name_hint: str = "<input>") -> PcPresentation:
         elif kw == "conj":
             if not gens:
                 raise ParseError(f"{name_hint}:{where}: conj before gens")
-            m = re.match(r"conj\s+(\S+)\s+(\S+)\s*=\s*(.*)$", line)
-            if not m:
+            head, sep, rhs = line.partition("=")
+            head = head.split()
+            if not sep or len(head) != 3:
                 raise ParseError(f"{name_hint}:{where}: expected 'conj <gj> <gi> = <word>'")
-            gj, gi, rhs = m.group(1), m.group(2), m.group(3).split()
+            gj, gi, rhs = head[1], head[2], rhs.split()
             for g in (gj, gi):
                 if g not in gen_index:
                     raise ParseError(f"{name_hint}:{where}: unknown generator {g!r}")
@@ -392,12 +394,14 @@ class FiniteGroup:
         return doubled(self.right, 0, x)
 
     def column(self, t: int) -> list[int]:
-        """[y·t for y in G]: the tables of t's letters composed in letter order."""
-        column, top = list(self.elements()), self.n + 1
+        """[y·t for y in G]: a copy of the first letter's table, then the
+        tables of t's other letters composed over it in letter order."""
+        right, top, column = self.right, self.n + 1, None
         while t:  # the first letter of t is g_(n + 1 - t.bit_length()), as in multiply
-            column = compose(self.right[top - t.bit_length()], column)
+            table = right[top - t.bit_length()]
+            column = table[:] if column is None else compose(table, column)
             t ^= 1 << (t.bit_length() - 1)
-        return column
+        return list(self.elements()) if column is None else column
 
     # --- core operations ------------------------------------------------
 

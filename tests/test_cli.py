@@ -461,6 +461,14 @@ class TestScan:
         code, out, _ = run(capsys, "scan", str(tmp_path), "--json")
         assert code == 3
 
+    @pytest.mark.parametrize("missing, why", [(False, "Not a directory"),
+                                              (True, "No such file or directory")],
+                             ids=["file", "missing"])
+    def test_a_path_that_is_no_directory_exits_3(self, capsys, d8xc2_path, tmp_path,
+                                                 missing, why):
+        path = str(tmp_path / "missing") if missing else d8xc2_path
+        assert run(capsys, "scan", path) == (3, "", f"error: {path}: {why}\n")
+
 
 class TestText:
     """The text that verify, scan and model print without --json."""

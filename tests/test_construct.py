@@ -185,8 +185,10 @@ class TestOrbit:
         # with z = b·z, which does not commute with a, unit 1 is not 1 + b(b,a)(1+z)
         w = pipeline.witness
         bad = Witness(a=w.a, b=w.b, z=d8xc2.parse_word("b*z"), s=w.s, k=w.k)
-        with pytest.raises(ConstructionError, match="closed form fails at i=1"):
+        with pytest.raises(ConstructionError) as info:
             build_orbit(d8xc2_algebra, bad)
+        assert str(info.value) == (
+            "orbit closed form fails at i=1: (b_0·z)^a is z, not b_1·z = c·z")
 
     def test_a_short_orbit_does_not_wrap(self, pipeline, d8xc2_algebra):
         w = pipeline.witness
@@ -611,6 +613,29 @@ def test_the_base_group_makes_no_product_per_element(monkeypatch, dihedral_times
     )
     base, _ = verify_base_group(orbit)
     assert (len(orbit.units), len(base), len(calls)) == (8, 256, 64)
+
+
+def test_the_orbit_makes_one_product_and_one_conjugation_per_unit(monkeypatch, dihedral_times_c2):
+    """D32 x C2 (m = 8): build_orbit checks the closed form once, by the
+    conjugation z^a, then takes b_i·z and b_(i+1) = b_i^a for each unit.
+    With a's inverse memoized a conjugation is two products, so the orbit
+    takes 2 + 3m = 26 products, and each unit's bits are those of
+    from_support((0, b_i, b_i·z))."""
+    group = load(dihedral_times_c2(5))
+    w = select_witness(group, check_hypotheses(group))
+    algebra = GroupAlgebra(group)
+    group.inverse(w.a)
+    calls = []
+    for name in ("multiply", "conjugate"):
+        method = getattr(group, name)
+        monkeypatch.setattr(group, name, lambda *args, method=method, name=name:
+                            calls.append(name) or method(*args))
+    orbit = build_orbit(algebra, w)
+    conjugate = ["conjugate", "multiply", "multiply"]
+    assert calls == conjugate + (["multiply"] + conjugate) * 8
+    monkeypatch.undo()
+    bs = [group.conjugate(w.b, group.power(w.a, i)) for i in range(8)]
+    assert orbit.units == tuple(algebra.from_support((0, b, group.multiply(b, w.z))) for b in bs)
 
 
 class TestSection:

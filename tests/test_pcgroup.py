@@ -22,6 +22,7 @@ from unitwreath.pcgroup import (
     TableLimitError,
     load,
     load_file,
+    parse_presentation,
     serialize_presentation,
 )
 
@@ -89,6 +90,12 @@ class TestLoad:
                 ("group X\nconj b a = b\ngens a b\n", ParseError, "line 2: conj before gens"),
                 ("group X\ngens a\npow a b\n", ParseError,
                  "line 3: expected 'pow <g> = <word>'"),
+                ("group X\ngens a b c\npow a b = c\n", ParseError,
+                 "line 3: expected 'pow <g> = <word>'"),
+                ("group X\ngens a b c\npow a = b = c\n", ParseError,
+                 "line 3: unknown generator '='"),
+                ("group X\ngens a b c\nconj c a b = c\n", ParseError,
+                 "line 3: expected 'conj <gj> <gi> = <word>'"),
                 ("group X\ngens a b\nconj b a b\n", ParseError,
                  "line 3: expected 'conj <gj> <gi> = <word>'"),
                 ("group X\ngens a\npow a =\n", ParseError, "line 3: empty right-hand side"),
@@ -110,6 +117,15 @@ class TestLoad:
         with pytest.raises(PcError) as info:
             load(text)
         assert type(info.value) is error and message in str(info.value)
+
+    @pytest.mark.parametrize("line", ["pow a=b", "pow\ta\t=\tb", "pow a =b c",
+                                      "conj\tc a= c b", "conj c\ta\t=c  b"])
+    def test_pow_and_conj_lines_split_at_the_equals_sign(self, line):
+        """Tabs for spaces, and no space around "=", read as the spaced lines."""
+        spaced = " = ".join(" ".join(side.split()) for side in line.split("="))
+        assert spaced in ("pow a = b", "pow a = b c", "conj c a = c b")
+        text = "group X\ngens a b c\n{}\n"
+        assert parse_presentation(text.format(line)) == parse_presentation(text.format(spaced))
 
     def test_a_bad_generator_name_is_reported_with_its_line(self):
         with pytest.raises(ParseError, match=r"^<input>:line 3: generator name '1' "):

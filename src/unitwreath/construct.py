@@ -381,15 +381,24 @@ def select_witness(
 
 
 def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
-    """The conjugates h_i = h^(a^i) = 1 + b_i(1+z) of h = 1 + b(1+z), b_i = b^(a^i).
+    """The conjugates h_i = h^(a^i) = 1 + b_i(1+z) of h = 1 + b(1+z), b_i = b^(a^i),
+    and the certificate that they generate X ≅ C2^m.
 
     Conjugation by a, an automorphism, carries h_i's support {1, b_i, b_i·z}
     onto {1, b_(i+1), b_(i+1)·z^a}: the closed form holds for every i exactly
     when z^a = z, which one conjugation checks (a failure shows at i = 1).
     Each unit then costs b_i·z and b_(i+1) = b_i^a, and its bitset is that
     of from_support((0, b_i, b_i·z)).  The orbit wraps when b_m = b.
+
+    The certificate, with h_i = 1 + x_i: when z·z = 1 (orbit-orders) and
+    z^b = z (pairwise-commuting), z is central in <a, b> ∋ b_i, so in
+    characteristic 2 x_i·x_j = b_i·b_j·(1+z)² = b_i·b_j·(1+z²) = 0: the h_i
+    are commuting involutions with product 1 + Σ_{i∈S} x_i over S.  When 1,
+    the b_i and the b_i·z are 2m+1 distinct elements (subset-products-nontrivial),
+    these 2^m sums are distinct, so X ≅ C2^m.
     """
     group, a, b, z = algebra.group, w.a, w.b, w.z
+    word, m = group.word_str, 1 << w.s
     if group.conjugate(z, a) != z:
         got = group.conjugate(group.multiply(b, z), a)
         expected = group.multiply(group.conjugate(b, a), z)
@@ -397,51 +406,41 @@ def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
             f"orbit closed form fails at i=1: (b_0·z)^a is "
             f"{group.word_str(got)}, not b_1·z = {group.word_str(expected)}"
         )
-    units, b_i = [], b
-    for _ in range(1 << w.s):
-        units.append(AlgebraElement(algebra, 1 ^ (1 << b_i) ^ (1 << group.multiply(b_i, z))))
+    if group.multiply(z, z):
+        raise ConstructionError(f"orbit-orders fails: z = {word(z)} is not an involution")
+    if group.conjugate(z, b) != z:
+        raise ConstructionError(
+            f"pairwise-commuting fails: z = {word(z)} does not commute with b = {word(b)}")
+    units, elements, b_i = [], [0], b
+    for _ in range(m):
+        b_z = group.multiply(b_i, z)
+        units.append(AlgebraElement(algebra, 1 ^ (1 << b_i) ^ (1 << b_z)))
+        elements += b_i, b_z
         b_i = group.conjugate(b_i, a)
     if b_i != b:
         raise ConstructionError("orbit does not wrap around under conjugation by a")
+    if len(set(elements)) < 2 * m + 1:
+        repeat = next(x for x in elements if elements.count(x) > 1)
+        raise ConstructionError(f"subset-products-nontrivial fails: {word(repeat)} repeats "
+                                "among 1, the b_i and the b_i·z")
     return BaseOrbit(units=tuple(units))
 
 
 def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
-    """Certify that the orbit generates X ≅ C2^m, by the paper's identity.
-
-    With h_i = 1 + x_i and (1+x)² = 1 + x² in characteristic 2, h_i is an
-    involution when x_i ≠ 0 = x_i², and when every x_i·x_j = 0 the product
-    of the h_i over S is 1 + Σ_{i∈S} x_i.  These 2^m sums are distinct when
-    the supports of the x_i miss 1 and are pairwise disjoint: for
-    x_i = b_i(1+z), x_i·x_j = b_i·b_j·(1+z)² = 0, and 1, the b_i and the
-    b_i·z must be 2m+1 distinct elements.  Returns (X sorted by bitset,
-    the three checks, all True); a failing condition raises
-    ConstructionError naming its positions, and |X| > cap ClosureCapError.
+    """X ≅ C2^m, by build_orbit's certificate the 2^m sums 1 + Σ_{i∈S} x_i
+    for h_i = 1 + x_i, listed without a product.  Returns (X sorted by
+    bitset, the three checks, all True); |X| > cap raises ClosureCapError.
     """
-    algebra = orbit.units[0].algebra
-    convolve = algebra._conv.convolve
     xs = [u.bits ^ 1 for u in orbit.units]
     m = len(xs)
-    bad = [i for i, x in enumerate(xs) if not x or convolve(x, x)]
-    if bad:
-        raise ConstructionError(f"orbit members at positions {bad} are not of order 2")
-    products = {(i, j): (convolve(xs[i], xs[j]), convolve(xs[j], xs[i]))
-                for i, j in combinations(range(m), 2)}
-    noncomm = [ij for ij, (p, q) in products.items() if p != q]
-    if noncomm:
-        raise ConstructionError(f"orbit members at {noncomm} do not commute")
     if 1 << m > cap:
         raise ClosureCapError(f"base group X of order 2^{m} exceeds cap {cap}")
-    at_one = [i for i, x in enumerate(xs) if x & 1]
-    meet = [(i, j) for (i, j), (p, _) in products.items() if p or xs[i] & xs[j]]
-    if at_one or meet:
-        raise ConstructionError(f"sub-products degenerate: 1 in the support of x_i at {at_one}; "
-                                f"x_i·x_j ≠ 0 or supports meet at {meet}")
     base = [1]
     for x in xs:
         base += [y ^ x for y in base]
-    checks = dict.fromkeys(CHECK_NAMES[1:4], True)  # orbit-orders to subset-products-nontrivial
-    return [AlgebraElement(algebra, bits) for bits in sorted(base)], checks
+    # orbit-orders to subset-products-nontrivial: build_orbit enforced them
+    checks = dict.fromkeys(CHECK_NAMES[1:4], True)
+    return [AlgebraElement(orbit.units[0].algebra, bits) for bits in sorted(base)], checks
 
 
 def build_section(
@@ -597,8 +596,8 @@ def run_pipeline(
         result.error = f"hypotheses fail: {hypothesis.failure_reason}"
         return result
     # the table limit and the cap, both known before any search: the orbit
-    # has m = |G'| units, so |X| = 2^m, and a is not in X (support 1,
-    # against 1 + 2|S| >= 3)
+    # has m = |G'| units, so |X| = 2^m by build_orbit's certificate, and a
+    # is not in X (support 1, against 1 + 2|S| >= 3)
     algebra = GroupAlgebra(group)
     m = hypothesis.derived_order
     if 2 << m > cap:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -163,6 +165,10 @@ class TestWitness:
             )
 
 
+# build_orbit's message when 1, the b_i and the b_i·z are not 2m+1 distinct elements
+REPEATS = "subset-products-nontrivial fails: {} repeats among 1, the b_i and the b_i·z"
+
+
 class TestOrbit:
     def test_d8xc2_orbit(self, pipeline, d8xc2):
         orbit = pipeline.orbit
@@ -195,6 +201,38 @@ class TestOrbit:
         bad = Witness(a=w.a, b=w.b, z=w.z, s=0, k=w.k)
         with pytest.raises(ConstructionError, match="does not wrap"):
             build_orbit(d8xc2_algebra, bad)
+
+    @pytest.mark.parametrize(
+        "path, s, a, b, z, message",
+        [
+            # z ∈ G': b_0·z = b_1
+            pytest.param("o16/D8xC2.pc2", 1, "a", "b", "c", REPEATS.format("b"), id="z-in-derived"),
+            # z = 1: b_i·z = b_i, so every x_i is 0
+            pytest.param("o16/D8xC2.pc2", 1, "a", "b", "1", REPEATS.format("b"), id="z-one"),
+            # a central b: b_0 = b_1, and the orbit still wraps
+            pytest.param("o16/D8xC2.pc2", 1, "a", "c", "z", REPEATS.format("c"), id="b-central"),
+            # b = 1, with one unit: 1 lies in the support of x_0, and 1, b, b·z
+            # are 2m = 2 elements, one short
+            pytest.param("o16/D8xC2.pc2", 0, "a", "1", "z", REPEATS.format("1"), id="b-one"),
+            # a·z commutes with a, and squares to c
+            pytest.param("o16/D8xC2.pc2", 1, "a", "b", "a*z",
+                         "orbit-orders fails: z = a·z is not an involution",
+                         id="z-not-involution"),
+            # z = a is an involution that commutes with a, but a^b = a·e
+            pytest.param("o32/o32_03.pc2", 1, "a", "b", "a",
+                         "pairwise-commuting fails: z = a does not commute with b = b",
+                         id="z-not-central"),
+        ],
+    )
+    def test_each_certificate_check_is_named(self, corpus_dir, path, s, a, b, z, message):
+        """A hand-built witness that fails one check of build_orbit's
+        certificate, after the closed form and the wrap."""
+        group = load_file(corpus_dir / path)
+        a, b, z = map(group.parse_word, (a, b, z))
+        bad = Witness(a=a, b=b, z=z, s=s, k=group.element_order(a).bit_length() - 1)
+        with pytest.raises(ConstructionError) as info:
+            build_orbit(GroupAlgebra(group), bad)
+        assert str(info.value) == message
 
 
 def assert_exponents_give_the_commutators(group):
@@ -540,13 +578,6 @@ class TestBaseGroup:
         assert prod.bits != 1
         assert prod.bits.bit_count() == 1 + 2 * len(pipeline.orbit.units)
 
-    def test_corrupted_orbit_rejected(self, pipeline, d8xc2_algebra):
-        # replacing one member with its product kills independence
-        h, ha = pipeline.orbit.units
-        bad = type(pipeline.orbit)(units=(h, h))
-        with pytest.raises(ConstructionError):
-            verify_base_group(bad)
-
     def test_cap_bounds_the_base_group(self, pipeline):
         # m = 2 orbit units: X has 2^2 elements, which a cap of 4 admits
         base, _ = verify_base_group(pipeline.orbit, cap=4)
@@ -554,35 +585,17 @@ class TestBaseGroup:
         with pytest.raises(ClosureCapError, match=r"^base group X of order 2\^2 exceeds cap 3$"):
             verify_base_group(pipeline.orbit, cap=3)
 
-    @pytest.mark.parametrize(
-        "words, message",
-        [
-            # x = 1 + z: an involution whose x has 1 in its support
-            pytest.param(["z"], r"1 in the support of x_i at \[0\]", id="one-in-support"),
-            # commuting involutions, but (1 + z)(1 + c) = 1 + z + c + z·c is not 0
-            pytest.param(["z", "c"], r"x_i·x_j ≠ 0 or supports meet at \[\(0, 1\)\]",
-                         id="nonzero-product"),
-            # x = a, and a·a = c is not 0
-            pytest.param(["1+a"], r"orbit members at positions \[0\] are not of order 2",
-                         id="not-an-involution"),
-            # the unit 1: x = 0 squares to 0, but 1 is not of order 2
-            pytest.param(["1"], r"orbit members at positions \[0\] are not of order 2",
-                         id="zero-x"),
-            # x_0 = z + b and x_1 = z + a·b square to 0, but x_0·x_1 ≠ x_1·x_0
-            pytest.param(["1+z+b", "1+z+a*b"], r"orbit members at \[\(0, 1\)\] do not commute",
-                         id="noncommuting"),
-        ],
-    )
-    def test_degenerate_orbits_rejected(self, d8xc2, d8xc2_algebra, words, message):
-        """Each unit is given as the sum of the words between its '+' signs."""
-        units = tuple(d8xc2_algebra.from_support(map(d8xc2.parse_word, w.split("+")))
-                      for w in words)
-        with pytest.raises(ConstructionError, match=message):
-            verify_base_group(BaseOrbit(units=units))
-
 
 def assert_base_is_the_closure_of_the_orbit(group):
-    orbit = build_orbit(GroupAlgebra(group), select_witness(group, check_hypotheses(group)))
+    """The algebra behind build_orbit's certificate, by convolution: each
+    x_i = h_i + 1 has x_i·x_i = 0 and x_i·x_j = x_j·x_i = 0, and X, listed
+    as sums, is the closure of the units."""
+    algebra = GroupAlgebra(group)
+    orbit = build_orbit(algebra, select_witness(group, check_hypotheses(group)))
+    convolve = algebra._conv.convolve  # a kernels.Convolver
+    xs = [u.bits ^ 1 for u in orbit.units]
+    assert not any(convolve(x, x) for x in xs), group.name
+    assert not any(convolve(x, y) or convolve(y, x) for x, y in combinations(xs, 2)), group.name
     base, checks = verify_base_group(orbit)
     assert base == bfs_closure(orbit.units), group.name
     assert checks == dict.fromkeys(
@@ -600,31 +613,39 @@ def test_base_is_the_closure_of_the_orbit_on_the_ladder(n, dihedral_times_c2):
     assert_base_is_the_closure_of_the_orbit(load(dihedral_times_c2(n)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(qualifying_presentations())
+def test_base_is_the_closure_of_the_orbit_on_random_groups(pres):
+    assert_base_is_the_closure_of_the_orbit(load(serialize_presentation(pres)))
+
+
 def test_the_base_group_makes_no_product_per_element(monkeypatch, dihedral_times_c2):
-    """D32 x C2 (m = 8, |X| = 256): x_i·x_i for each i and x_i·x_j, x_j·x_i
-    for each pair, m + m(m-1) = 64 convolutions; the 2^m elements of X are
-    sums."""
+    """D32 x C2 (m = 8, |X| = 256): build_orbit's certificate proves X ≅ C2^m,
+    so the 2^m elements of X are sums, with no convolution and no group
+    product."""
     group = load(dihedral_times_c2(5))
     orbit = build_orbit(GroupAlgebra(group), select_witness(group, check_hypotheses(group)))
     calls = []
-    convolve = kernels.Convolver.convolve
+    convolve, multiply = kernels.Convolver.convolve, group.multiply
     monkeypatch.setattr(
         kernels.Convolver, "convolve", lambda self, u, v: calls.append(1) or convolve(self, u, v)
     )
+    monkeypatch.setattr(group, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
     base, _ = verify_base_group(orbit)
-    assert (len(orbit.units), len(base), len(calls)) == (8, 256, 64)
+    assert (len(orbit.units), len(base), len(calls)) == (8, 256, 0)
 
 
 def test_the_orbit_makes_one_product_and_one_conjugation_per_unit(monkeypatch, dihedral_times_c2):
     """D32 x C2 (m = 8): build_orbit checks the closed form once, by the
-    conjugation z^a, then takes b_i·z and b_(i+1) = b_i^a for each unit.
-    With a's inverse memoized a conjugation is two products, so the orbit
-    takes 2 + 3m = 26 products, and each unit's bits are those of
-    from_support((0, b_i, b_i·z))."""
+    conjugation z^a, and the certificate's z·z and z^b, then takes b_i·z and
+    b_(i+1) = b_i^a for each unit.  With the inverses of a and b memoized a
+    conjugation is two products, so the orbit takes 5 + 3m = 29 products,
+    and each unit's bits are those of from_support((0, b_i, b_i·z))."""
     group = load(dihedral_times_c2(5))
     w = select_witness(group, check_hypotheses(group))
     algebra = GroupAlgebra(group)
     group.inverse(w.a)
+    group.inverse(w.b)
     calls = []
     for name in ("multiply", "conjugate"):
         method = getattr(group, name)
@@ -632,7 +653,7 @@ def test_the_orbit_makes_one_product_and_one_conjugation_per_unit(monkeypatch, d
                             calls.append(name) or method(*args))
     orbit = build_orbit(algebra, w)
     conjugate = ["conjugate", "multiply", "multiply"]
-    assert calls == conjugate + (["multiply"] + conjugate) * 8
+    assert calls == conjugate + ["multiply"] + conjugate + (["multiply"] + conjugate) * 8
     monkeypatch.undo()
     bs = [group.conjugate(w.b, group.power(w.a, i)) for i in range(8)]
     assert orbit.units == tuple(algebra.from_support((0, b, group.multiply(b, w.z))) for b in bs)

@@ -73,13 +73,14 @@ class ClosureCapError(Exception):
 
 
 WORD_SEP = "·"  # interpunct, used when printing element words
+_SEPARATORS = frozenset("*·,=")  # no generator name may hold one
 
 
 def _name_fault(gens) -> str | None:
     """Why words cannot name the generators apart (a repeat, "1", or a separator), or None."""
     if len(set(gens)) != len(gens):
         return "duplicate generator names"
-    bad = [g for g in gens if g == "1" or set(g) & set("*·,=")]
+    bad = [g for g in gens if g == "1" or not _SEPARATORS.isdisjoint(g)]
     return f"generator name {bad[0]!r} is '1' or holds '*', '·', ',' or '='" if bad else None
 
 
@@ -282,15 +283,20 @@ def compose(row, seq) -> list[int]:
     return [row[seq[0]]] if seq else []
 
 
-def doubled(right: list, j: int, start: int, word=lambda k: (k,)) -> list[int]:
-    """[f(y) for y in G_(j+1)], where f(1) = start and f(w·gk) = f(w)·word(k).
+def doubled(right: list, j: int, starts, word=lambda k: (k,)) -> list[int]:
+    """[f(s, y) for s in starts for y in G_(j+1)], where f(s, 1) = s and
+    f(s, w·gk) = f(s, w)·word(k).
 
-    G_(j+1) is the indices below 2^(n-j); f doubles over y's last letter,
-    composing the half built so far with right[l][v] = v·gl (compose).  The
-    default word gives f(y) = start·y.
+    G_(j+1) is the indices below 2^(n-j), so each start owns a block of that
+    length.  f doubles over y's last letter, composing the entries built so
+    far with right[l][v] = v·gl (compose); the strides divide the block
+    length, so every block shares each composition.  The default word gives
+    f(s, y) = s·y, and row(x) passes starts = (x,).
     """
     n = len(right) - 1
-    out = [start] * (1 << (n - j))
+    size = 1 << (n - j)
+    out = [0] * (len(starts) * size)
+    out[::size] = starts
     for k in range(j + 1, n + 1):
         bit = 1 << (n - k)
         seg = out[::2 * bit]
@@ -331,21 +337,21 @@ class FiniteGroup:
     def _tables(self) -> list:
         """[None, x·g1 table, ..., x·gn table], built for j = n down to 1.
 
-        x·gj = H·gj·L^gj (see the module docstring).  L ↦ L^gj doubles over
-        L's last letter through the conjugation words gk^gj and the tables
-        for letters > j.  If H = H'·gj, then H·gj = H'·Pj·L^gj with Pj = gj^2
-        in G_(j+1), and L ↦ Pj·L^gj doubles from Pj through the same words.
+        x·gj = H·gj·L^gj (see the module docstring), and gj's block holds
+        x·gj for x < 2gj.  Its first half is gj·L^gj for L in G_(j+1); if
+        H = H'·gj, then H·gj = H'·Pj·L^gj with Pj = gj^2 in G_(j+1), so its
+        second half is Pj·L^gj.  One doubling from the starts gj and Pj
+        builds both, over L's last letter through the conjugation words gk^gj
+        and the tables for letters > j; each table repeats its block, shifted
+        by the letters before gj.
         """
         n, pres = self.n, self.pres
         right: list = [None] * (n + 1)
         for j in range(n, 0, -1):
             gj = 1 << (n - j)
-            words = {k: pres.conjugations.get((j, k), (k,)) for k in range(j + 1, n + 1)}
-            conj = doubled(right, j, 0, words.__getitem__)
             square = reduce(lambda v, l: right[l][v], pres.powers.get(j, ()), 0)
-            # Pj·L^gj, doubled from Pj through the same words
-            block = list(map(gj.__add__, conj)) + (
-                doubled(right, j, square, words.__getitem__) if square else conj)
+            block = doubled(right, j, (gj, square),
+                            lambda k: pres.conjugations.get((j, k), (k,)))
             right[j] = [h + v for h in range(0, self.order, 2 * gj) for v in block]
         return right
 
@@ -366,22 +372,41 @@ class FiniteGroup:
         equal normal forms on an overlap join its critical pair; with all of
         them joined the rewriting is confluent by Newman's lemma.  In a
         consistent presentation every rewriting ends in the one normal form.
+
+        For each (j, i) the tables of gj·gi's letters are read once, and k
+        runs innermost: the left side is gk·gj·gi off the tables of gj and gi,
+        the right side gk walked through those letters.  Of the failing
+        overlaps the error names the least (k, j, i).
         """
         n, tables = self.n, self.right
-        gens = [0] + [1 << (n - j) for j in range(1, n + 1)]
-        for k in range(1, n + 1):
-            for j in range(1, k + 1):
-                gk_gj = tables[j][gens[k]]
-                for i in range(1, j + 1):
-                    left = tables[i][gk_gj]
-                    right = self.multiply(gens[k], tables[i][gens[j]])
-                    if left != right:
-                        gk, gj, gi = (self.pres.gens[t - 1] for t in (k, j, i))
-                        raise ConsistencyError(
-                            f"{self.name}: overlap ({gk}·{gj})·{gi} collects to "
-                            f"{self.word_str(left)} but {gk}·({gj}·{gi}) to "
-                            f"{self.word_str(right)}"
-                        )
+        top = n + 1
+        gens = [1 << (n - j) for j in range(n + 1)]  # gens[j] = gj for j >= 1
+        failed = []
+        for j in range(1, top):
+            t_j, later = tables[j], gens[j:]
+            for i in range(1, j + 1):
+                t_i = tables[i]
+                w, letters = t_i[gens[j]], []
+                while w:  # gj·gi's letters in order, as in multiply
+                    b = w.bit_length()
+                    letters.append(tables[top - b])
+                    w ^= 1 << (b - 1)
+                for gk in later:
+                    right = gk
+                    for t in letters:
+                        right = t[right]
+                    if t_i[t_j[gk]] != right:
+                        failed.append((top - gk.bit_length(), j, i))
+        if failed:
+            k, j, i = min(failed)
+            left = tables[i][tables[j][gens[k]]]
+            right = self.multiply(gens[k], tables[i][gens[j]])
+            gk, gj, gi = (self.pres.gens[t - 1] for t in (k, j, i))
+            raise ConsistencyError(
+                f"{self.name}: overlap ({gk}·{gj})·{gi} collects to "
+                f"{self.word_str(left)} but {gk}·({gj}·{gi}) to "
+                f"{self.word_str(right)}"
+            )
 
     @property
     def cayley(self) -> list[list[int]]:
@@ -391,7 +416,7 @@ class FiniteGroup:
 
     def row(self, x: int) -> list[int]:
         """[x·y for y in G], doubled over the tables."""
-        return doubled(self.right, 0, x)
+        return doubled(self.right, 0, (x,))
 
     def column(self, t: int) -> list[int]:
         """[y·t for y in G]: a copy of the first letter's table, then the

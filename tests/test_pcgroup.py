@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D8_SQUARED, assert_holds_no_row, corpus_paths, twisted_presentations
@@ -344,6 +344,44 @@ def test_overlap_verdict_matches_group_axioms(pres):
         assert group.cayley == table
 
 
+def least_failing_overlap(pres: PcPresentation) -> str | None:
+    """The loader's error text, by brute force over collect: the first
+    (k, j, i) with k >= j >= i, in that order, whose sides (gk·gj)·gi and
+    gk·(gj·gi) collect apart, or None when every overlap holds."""
+    n = pres.n
+
+    def word(x):
+        return "·".join(g for t, g in enumerate(pres.gens) if x >> (n - 1 - t) & 1) or "1"
+
+    for k in range(1, n + 1):
+        for j in range(1, k + 1):
+            for i in range(1, j + 1):
+                gk, gj, gi = (1 << (n - t) for t in (k, j, i))
+                left = collect(pres, collect(pres, gk, gj), gi)
+                right = collect(pres, gk, collect(pres, gj, gi))
+                if left != right:
+                    a, b, c = (pres.gens[t - 1] for t in (k, j, i))
+                    return (f"{pres.name}: overlap ({a}·{b})·{c} collects to {word(left)} "
+                            f"but {a}·({b}·{c}) to {word(right)}")
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_presentations())
+@example(parse_presentation("group R\ngens a b c\npow b = c\nconj c a = c c\n"))
+def test_the_error_names_the_least_failing_overlap(pres):
+    """The loader raises exactly when some overlap fails, and names the least
+    (k, j, i).  The example fails at (b·b)·a and (c·a)·a: the loader meets
+    (c·a)·a first, as it runs k innermost."""
+    expected = least_failing_overlap(pres)
+    try:
+        FiniteGroup(pres)
+    except ConsistencyError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(default_corpus_dir().rglob("*.pc2")),
@@ -407,9 +445,39 @@ def test_rows_inverses_columns_and_conjugates_match_collection(case, dihedral_ti
         assert mul(x, group.inverse(x)) == 0
     rows = RowStore(group)  # a fresh algebra's rows: none but the identity's yet
     for x in sample(group):
-        assert pcgroup.doubled(group.right, 0, x) == [mul(x, y) for y in everything]
+        assert pcgroup.doubled(group.right, 0, (x,)) == [mul(x, y) for y in everything]
         assert rows[x] == [mul(x, y) for y in everything]
         assert group.column(x) == [mul(y, x) for y in everything]
+
+
+def assert_starts_concatenate(group, rng):
+    """doubled over several starts is the one-start doublings concatenated,
+    for every j, with the default word and with gj's conjugation words; one
+    start with the default word doubles s·y over G_(j+1)."""
+    for j in range(group.n + 1):
+        size = 1 << (group.n - j)
+        words = [lambda k: (k,), lambda k: group.pres.conjugations.get((j, k), (k,))]
+        starts = tuple(rng.choices(range(group.order), k=3))
+        for word in words:
+            assert pcgroup.doubled(group.right, j, starts, word) == [
+                v for s in starts for v in pcgroup.doubled(group.right, j, (s,), word)]
+        assert pcgroup.doubled(group.right, j, starts[:1]) == [
+            group.multiply(starts[0], y) for y in range(size)]
+
+
+@pytest.mark.parametrize("n", LADDER, ids=lambda n: f"D{1 << n}xC2")
+def test_doubled_starts_concatenate_on_the_ladder(n, dihedral_times_c2):
+    assert_starts_concatenate(load(dihedral_times_c2(n)), random.Random(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_presentations(), st.randoms(use_true_random=False))
+def test_doubled_starts_concatenate_on_random_presentations(pres, rng):
+    try:
+        group = FiniteGroup(pres)
+    except ConsistencyError:
+        assume(False)
+    assert_starts_concatenate(group, rng)
 
 
 def assert_compose_picks(row, seq):
@@ -449,7 +517,7 @@ def test_inverses_above_the_table_limit(dihedral_times_c2):
         assert group.multiply(x, group.inverse(x)) == 0
         assert group.multiply(group.inverse(x), x) == 0
     for b in xs[:2]:
-        row = pcgroup.doubled(group.right, 0, b)
+        row = pcgroup.doubled(group.right, 0, (b,))
         assert [row[y] for y in xs] == [group.multiply(b, y) for y in xs]
 
 

@@ -13,6 +13,7 @@ Run from the repository root:  python3 scripts/make_corpus.py
 
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -23,6 +24,7 @@ from unitwreath.pcgroup import (
     ConsistencyError,
     FiniteGroup,
     PcPresentation,
+    closure,
     load,
     serialize_presentation,
 )
@@ -70,8 +72,10 @@ def extensions(parent: PcPresentation):
 def fingerprint(group: FiniteGroup, table: TableGroup):
     """Cheap exact-invariant tuple used to bucket isomorphism candidates."""
     profile = table.order_profile()
-    report = check_hypotheses(group)
-    center, derived = report.center, report.derived
+    center = check_hypotheses(group).center
+    # G' is generated by the commutators of the pc generators
+    derived = closure({group.generator_commutator(i, j)
+                       for i, j in combinations(range(1, group.n + 1), 2)}, group.multiply, 0)
     # x^g = g⁻¹·x·g, two lookups in the table's rows and the inverses
     # order_profile filled
     rows, inverses = table.table, table._inverses

@@ -49,16 +49,23 @@ class ConstructionError(Exception):
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """What check_hypotheses found.  G' is given by its order and, when
+    cyclic, its generator c; the witness search reads it only through
+    parities and neg, which are filled when the hypotheses pass (() and 0
+    otherwise).  Only center and candidates_z grow with the group, as
+    Z(G) does: no field lists G'."""
+
     derived_order: int
     derived_cyclic: bool
     derived_generator: int | None  # c with G' = <c>, when G' is cyclic
-    derived: tuple[int, ...]  # c^0, ..., c^(m-1) when G' = <c>, else G' sorted
     nonabelian: bool
     center: tuple[int, ...]
     center_order: int
     candidates_z: tuple[int, ...]
     passed: bool
     failure_reason: str | None
+    parities: tuple[int, ...]  # parities[k-1]: the generators g with (gk, g) = c^e, e odd
+    neg: int  # the generators g with c^g = c^k, k ≡ 3 mod 4
 
     def to_dict(self, group: FiniteGroup) -> dict:
         return {
@@ -185,7 +192,8 @@ class QuotientGroup:
 
 
 def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
-    """Test the hypotheses and list G', Z(G) and the candidate central involutions.
+    """Test the hypotheses; report G' by its order and generator, Z(G), the
+    candidate central involutions and the parities of the commutators.
 
     G is abelian iff G' = 1.  The commutators (gi, gj) of the pc generators,
     read off the conjugation words, generate G'.  Down k: let those with i, j > k generate G_(k+1)', and H
@@ -197,8 +205,10 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
 
     So G' is cyclic exactly when every (gi, gj) lies in <c>, c the one of
     largest order (the least index among ties): the subgroups of a cyclic
-    2-group form a chain.  <c> is listed once, by m products, and only a
-    failing test lists G' as the closure of the (gi, gj).
+    2-group form a chain.  A pair with no conj line commutes, so one
+    commutator is read per line.  <c> is listed once (FiniteGroup.cyclic),
+    as the logarithms c^e ↦ e, and only a failing test closes G' under the
+    (gi, gj).
 
     Z(G) is filtered against the generators that lead no gi^2 and no
     (gi, gj).  A gk that leads (is the first letter of) one of those words
@@ -210,22 +220,29 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
     filter is C-level, compress(center, map(eq, row, column)), with row and
     column composed over the surviving center past the first generator
     tested.  A candidate z is an x ≠ 1 of Z(G) outside G' with x·x = 1.
+
+    When the hypotheses pass, G' = <c> has order m = 2^s >= 2.  Write c^g =
+    c^(k_g), k_g odd, and (x, y) = c^(E_x(y)).  The identities (b, w·g) =
+    (b, g)·(b, w)^g and (x·y, g) = (x, g)^y·(y, g) (Robinson, A Course in
+    the Theory of Groups, 5.1.5) give E_b(w·g) = E_b(g) + k_g·E_b(w) and
+    E_(x·y)(g) = k_y·E_x(g) + E_y(g) mod m.  So E_x(y) mod 2 is additive
+    over the letters of x and over those of y, and parities[k-1], the row
+    of gk, holds the generators g with E_gk(g) odd.  (gj, gi) = (gi, gj)^-1
+    has the opposite exponent, of the same parity, so each conj line sets
+    two bits by one logarithm.  k_x is the product of the k_g over x's
+    letters, so k_x ≡ 3 mod 4 exactly when x holds an odd number of the
+    letters of neg, the generators with k_g ≡ 3 mod 4 (one conjugation c^g
+    each).
     """
     gens = [1 << (group.n - j) for j in range(1, group.n + 1)]
-    pairs = {(i, j): group.generator_commutator(i, j)
-             for i, j in combinations(range(1, group.n + 1), 2)}
+    pairs = {ij: group.generator_commutator(*ij) for ij in group.pres.conjugations}
     comms = set(pairs.values())
     c = max(sorted(comms), key=group.element_order, default=0)
-    derived, c_e = [0], c  # <c> in order, m products
-    while c_e:
-        derived.append(c_e)
-        c_e = group.multiply(c_e, c)
-    members = set(derived)
-    cyclic = comms <= members
+    log = {x: e for e, x in enumerate(group.cyclic(c))}  # c^e ↦ e
+    members, cyclic = log, comms <= log.keys()
     if not cyclic:
-        members = closure(comms, group.multiply, 0)
-        derived, c = sorted(members), None
-    nonabelian = len(derived) > 1
+        members, c = closure(comms, group.multiply, 0), None
+    nonabelian = len(members) > 1
 
     words = comms | {group.multiply(g, g) for g in gens}
     leaders = {w.bit_length() for w in words}  # gk's bit length is n + 1 - k
@@ -246,51 +263,38 @@ def check_hypotheses(group: FiniteGroup) -> HypothesisReport:
         reason = REASON_NOT_CYCLIC
     elif not candidates:
         reason = REASON_NO_Z
+    parities, neg = [], 0
+    if reason is None:
+        parities = [0] * group.n
+        for (i, j), comm in pairs.items():
+            if log[comm] % 2:
+                parities[i - 1] |= gens[j - 1]
+                parities[j - 1] |= gens[i - 1]
+        neg = sum(g for g in gens if log[group.conjugate(c, g)] % 4 == 3)
     return HypothesisReport(
-        derived_order=len(derived),
+        derived_order=len(members),
         derived_cyclic=cyclic,
         derived_generator=c,
-        derived=tuple(derived),
         nonabelian=nonabelian,
         center=center,
         center_order=len(center),
         candidates_z=candidates,
         passed=reason is None,
         failure_reason=reason,
+        parities=tuple(parities),
+        neg=neg,
     )
 
 
-def _parity_masks(group: FiniteGroup, report: HypothesisReport):
-    """(mask_of, neg): the map b ↦ mask(b), and the generators g with k_g ≡ 3 mod 4.
-
-    mask(b) is the XOR over b's letters h of row(h), the generators g for
-    which (h, g) = c^e with e odd (see select_witness).  A row is built the
-    first time a letter is read, from a commutator for each generator
-    g ≠ h, read off the presentation with the lower index first: (g, h) =
-    (h, g)^-1 has the opposite exponent, of the same parity.  The logarithms c^e ↦ e
-    are read off the report's powers of c, and neg takes one conjugation
-    per generator.
-    """
-    log = dict(zip(report.derived, range(report.derived_order)))  # c^e ↦ e
-    gens = [1 << i for i in range(group.n)]
-    neg = sum(g for g in gens if log[group.conjugate(report.derived_generator, g)] % 4 == 3)
-    n, comm = group.n, group.generator_commutator
-    rows: dict[int, int] = {}
-
-    def row(k: int) -> int:  # gk's row, as a mask; gl = 1 << (n - l)
-        return (sum(1 << (n - l) for l in range(1, k) if log[comm(l, k)] % 2)
-                + sum(1 << (n - l) for l in range(k + 1, n + 1) if log[comm(k, l)] % 2))
-
-    def mask_of(b: int) -> int:
-        mask = 0
-        for h in gens:
-            if b & h:
-                if h not in rows:
-                    rows[h] = row(n + 1 - h.bit_length())
-                mask ^= rows[h]
-        return mask
-
-    return mask_of, neg
+def _mask(parities: tuple[int, ...], b: int) -> int:
+    """mask(b), the XOR of the parity rows of b's letters: a & mask(b) has
+    odd weight exactly when E_b(a) is odd (check_hypotheses)."""
+    mask, n = 0, len(parities)
+    while b:  # the first letter of b is g_(n + 1 - b.bit_length())
+        k = b.bit_length()
+        mask ^= parities[n - k]
+        b ^= 1 << (k - 1)
+    return mask
 
 
 def _qualifies(mask: int, neg: int, a: int) -> bool:
@@ -298,7 +302,8 @@ def _qualifies(mask: int, neg: int, a: int) -> bool:
 
     (b, a) generates G' when a holds an odd number of mask's letters, and
     the (b, a^i) for i < m are then distinct with (b, a^m) = 1 when a holds
-    an even number of neg's letters (select_witness gives both proofs).
+    an even number of neg's letters (check_hypotheses and select_witness
+    give the proofs).
     """
     return (a & mask).bit_count() % 2 == 1 and (a & neg).bit_count() % 2 == 0
 
@@ -314,43 +319,38 @@ def select_witness(
     (b, a^m) = 1, and the m commutators (b, a^i), i < m, are pairwise
     distinct.  The order is b first, then a, each by index.  z is the first
     candidate central involution.  An override (a, b, z) is validated
-    against the same conditions.
+    against the same conditions.  The search reads the report's parities
+    and neg alone (check_hypotheses defines them, with E_b and k_g): it
+    makes no commutator and no conjugation, and its only products are the
+    squarings of element_order(a).
 
-    Write c^g = c^(k_g), k_g odd, and (b, x) = c^(E_b(x)).  The identities
-    (b, w·g) = (b, g)·(b, w)^g and (x·y, g) = (x, g)^y·(y, g) (Robinson, A
-    Course in the Theory of Groups, 5.1.5) give E_b(w·g) = E_b(g) +
-    k_g·E_b(w) and E_(x·y)(g) = k_y·E_x(g) + E_y(g) mod m.  So E_b(x) mod 2
-    is additive over the letters of x and over those of b.  With row(h) the
-    generators g for which E_h(g) is odd, and mask(b) the XOR of row(h)
-    over b's letters h, (b, a) generates G' exactly when a & mask(b) has an
-    odd number of bits.  A central b has mask 0.
-
-    By the first identity E_b(a^i) = E_b(a)·σ_i, with σ_0 = 0 and
-    σ_(i+1) = k_a·σ_i + 1.  When E_b(a) is odd it is a unit mod m, and the
-    other two conditions say that σ_0, ..., σ_(m-1) are distinct: the
-    bijection x ↦ k_a·x + 1 of Z/m has full period m, and then σ_m = 0.  By
-    Hull and Dobell (SIAM Review 4, 1962) that holds, for odd k_a and
-    increment 1, exactly when m = 2 or k_a ≡ 1 mod 4.  k_a is the product
-    of the k_g over a's letters, so with neg the generators whose
-    k_g ≡ 3 mod 4 (none when m = 2), it holds exactly when a & neg has an
-    even number of bits.  Both tests depend on a and mask(b) alone.
+    (b, a) generates G' exactly when E_b(a) is odd, that is when a &
+    mask(b) has an odd number of bits (_mask); a central b has mask 0.  By
+    the first of check_hypotheses' identities E_b(a^i) = E_b(a)·σ_i, with
+    σ_0 = 0 and σ_(i+1) = k_a·σ_i + 1.  When E_b(a) is odd it is a unit mod
+    m, and the other two conditions say that σ_0, ..., σ_(m-1) are
+    distinct: the bijection x ↦ k_a·x + 1 of Z/m has full period m, and
+    then σ_m = 0.  By Hull and Dobell (SIAM Review 4, 1962) that holds, for
+    odd k_a and increment 1, exactly when m = 2 or k_a ≡ 1 mod 4, that is
+    when a & neg has an even number of bits (neg is 0 when m = 2).  Both
+    tests depend on a and mask(b) alone.
 
     The scan.  mask is linear in b's exponent vector, so the b for which no
     a qualifies, those with mask(b) in {0, neg}, form a subspace W under
     XOR (⊕) of indices.  The least b outside W is a generator: with g its
     top letter, every index below g lies in W, b ⊕ g among them, so g does
-    not, and g <= b.  So b runs over the generators, last first, and no
-    table is built (_parity_masks).  For that b, a qualifying a holds a
-    letter of mask outside neg, or one of mask inside neg and one of neg
-    outside mask, so the least is the lowest letter of the first kind or
-    the sum of the lowest letters of the other two, whichever qualifies and
-    is smaller.
+    not, and g <= b.  So b runs over the generators, last first, and its
+    mask is its parity row.  For that b, a qualifying a holds a letter of
+    mask outside neg, or one of mask inside neg and one of neg outside
+    mask, so the least is the lowest letter of the first kind or the sum of
+    the lowest letters of the other two, whichever qualifies and is
+    smaller.
     """
     if not report.passed:
         raise ValueError("select_witness requires a hypothesis-passing group")
     m = report.derived_order
     s = m.bit_length() - 1
-    mask_of, neg = _parity_masks(group, report)
+    parities, neg = report.parities, report.neg
 
     if override is not None:
         a, b, z = override
@@ -359,18 +359,18 @@ def select_witness(
                 f"override z = {group.word_str(z)} is not a central involution "
                 "outside the derived subgroup"
             )
-        if not _qualifies(mask_of(b), neg, a):
+        if not _qualifies(_mask(parities, b), neg, a):
             raise NoWitnessError(
                 f"override pair (b, a) = ({group.word_str(b)}, {group.word_str(a)}) "
                 "violates the witness side conditions"
             )
     else:
         z = report.candidates_z[0]
-        for b in (1 << i for i in range(group.n)):
-            mask = mask_of(b)
+        for i, mask in enumerate(reversed(parities)):  # b = 1 << i, the generators last first
             one, both, other = (x & -x for x in (mask & ~neg, mask & neg, neg & ~mask))
             a = min((x for x in (one, both | other) if _qualifies(mask, neg, x)), default=None)
             if a is not None:
+                b = 1 << i
                 break
         else:
             raise NoWitnessError(

@@ -312,9 +312,9 @@ class FiniteGroup:
     All operations are pure.  Construction builds `right`, right[j][x] = x·gj
     (n·order entries), then proves the presentation consistent by the
     overlap test, so that the tables hold the products of a group of order
-    2^n.  `multiply` reads y's letters off the tables; `row`, `column` and
-    `cayley` build rows x·y and columns y·t and keep none.  Inverses are
-    memoized, and nothing else is kept.
+    2^n.  `multiply` reads y's letters off the tables, and `cyclic` lists
+    <c> by c's; `row`, `column` and `cayley` build rows x·y and columns y·t
+    and keep none.  Inverses are memoized, and nothing else is kept.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -489,6 +489,21 @@ class FiniteGroup:
             base = self.multiply(base, base)
             m >>= 1
         return acc
+
+    def cyclic(self, c: int) -> list[int]:
+        """[c^0, c^1, ..., c^(|c|-1)]: each power the last one times c, one
+        walk over the tables of c's letters, read off c once."""
+        right, top, letters, y = self.right, self.n + 1, [], c
+        while y:  # c's letters in order, as in multiply
+            k = y.bit_length()
+            letters.append(right[top - k])
+            y ^= 1 << (k - 1)
+        powers, x = [0], c
+        while x:
+            powers.append(x)
+            for t in letters:
+                x = t[x]
+        return powers
 
     def element_order(self, x: int) -> int:
         order = 1

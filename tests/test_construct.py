@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -27,7 +28,6 @@ from unitwreath.construct import (
     select_witness,
     verify_base_group,
     verify_wreath,
-    _parity_masks,
     _qualifies,
 )
 from unitwreath.grpalg import GroupAlgebra, conjugate_unit
@@ -236,24 +236,29 @@ class TestOrbit:
 
 
 def assert_exponents_give_the_commutators(group):
-    """For every (b, a): a & mask(b) has odd weight exactly when the
+    """The report's parities and neg, against commutators and conjugates
+    taken by products.  For every (b, a): a & mask(b) has odd weight, mask(b)
+    the XOR of report.parities over b's letters, exactly when the
     commutator (b, a) = c^e, with e read off the powers of c, has e odd;
-    and a & neg has even weight exactly when c^a = c^k with
+    and a & report.neg has even weight exactly when c^a = c^k with
     k ≡ 1 mod min(4, m).  Above order 64, b runs over the generators and
     the witness's b, and a over every element."""
     report = check_hypotheses(group)
-    m, c = report.derived_order, report.derived_generator
+    m, c, n = report.derived_order, report.derived_generator, group.n
     log = {group.power(c, e): e for e in range(m)}
-    mask_of, neg = _parity_masks(group, report)
+    assert len(report.parities) == n
     bs = group.elements()
     if group.order > 64:
-        bs = [select_witness(group, report).b] + [1 << k for k in range(group.n)]
+        bs = [select_witness(group, report).b] + [1 << k for k in range(n)]
     for b in bs:
-        mask = mask_of(b)
+        mask = 0
+        for k, row in enumerate(report.parities, start=1):  # gk = 1 << (n - k)
+            if b >> (n - k) & 1:
+                mask ^= row
         assert [(a & mask).bit_count() % 2 for a in group.elements()] == [
             log[group.commutator(b, a)] % 2 for a in group.elements()
         ], (group.name, group.word_str(b))
-    assert [(a & neg).bit_count() % 2 == 0 for a in group.elements()] == [
+    assert [(a & report.neg).bit_count() % 2 == 0 for a in group.elements()] == [
         log[group.conjugate(c, a)] % min(4, m) == 1 for a in group.elements()
     ], group.name
 
@@ -266,6 +271,12 @@ def test_exponents_give_the_commutators_on_the_corpus(qualifying_paths):
 @pytest.mark.parametrize("n", range(4, 9))
 def test_exponents_give_the_commutators_on_the_ladder(n, dihedral_times_c2):
     assert_exponents_give_the_commutators(load(dihedral_times_c2(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qualifying_presentations())
+def test_exponents_give_the_commutators_on_random_groups(pres):
+    assert_exponents_give_the_commutators(load(serialize_presentation(pres)))
 
 
 @pytest.mark.parametrize("s", range(1, 9))
@@ -361,17 +372,19 @@ def test_the_corpus_hypotheses_match_brute_force(corpus_dir):
 
 
 def assert_hypotheses_match_brute_force(group):
-    """G', its cyclicity, Z(G) and the candidates z read off the pc
-    generators equal those of every element; a cyclic G' is listed as
-    c^0, ..., c^(m-1)."""
+    """G''s order and cyclicity, Z(G) and the candidates z read off the pc
+    generators equal those of every element, and a cyclic G' is the cyclic
+    group of the reported generator; the parities are reported exactly
+    when the hypotheses pass."""
     report = check_hypotheses(group)
     expected = brute_force_hypotheses(group)
-    assert set(report.derived) == expected.pop("derived"), group.name
+    derived = expected.pop("derived")
     assert {key: getattr(report, key) for key in expected} == expected, group.name
     if report.derived_cyclic:
-        c, m = report.derived_generator, report.derived_order
-        assert group.element_order(c) == m
-        assert list(report.derived) == [group.power(c, e) for e in range(m)]
+        assert set(group.cyclic(report.derived_generator)) == derived, group.name
+    else:
+        assert report.derived_generator is None
+    assert len(report.parities) == (group.n if report.passed else 0), group.name
 
 
 def refuse_closure(*args, **kwargs):
@@ -432,30 +445,36 @@ def test_the_center_filter_skips_the_central_generators(monkeypatch, k):
 
 
 def test_the_hypotheses_and_the_search_reuse_the_commutators(monkeypatch, dihedral_times_c2):
-    """D32 x C2 (n = 6 generators, |G'| = m = 8): check_hypotheses reads
-    each of the n(n-1)/2 = 15 generator commutators once off the
-    presentation, and takes no commutator by products.  Setting up the
-    witness search reads the logarithms c^e ↦ e off the report, so it makes
-    only the n conjugations' 12 products and 2 more for the inverses of r1
-    and c, the two generators whose inverse no conjugation word needed.  The
-    search reads the rows of c and t, the generators last first, with 5
-    generator commutators each."""
+    """D32 x C2 (n = 6 generators, |G'| = m = 8): check_hypotheses reads one
+    generator commutator per conj line, 3 of the n(n-1)/2 = 15 pairs, and
+    takes no commutator by products.  The witness search reads the report's
+    parities alone: no commutator and no conjugation, and its only products
+    are the four squarings of element_order(a), a = r1 of order 16."""
     group = load(dihedral_times_c2(5))
     calls = []
-    for name in ("commutator", "generator_commutator", "multiply"):
+    for name in ("commutator", "generator_commutator", "conjugate", "multiply", "power"):
         method = getattr(group, name)
         monkeypatch.setattr(group, name, lambda *args, method=method, name=name:
                             calls.append(name) or method(*args))
     report = check_hypotheses(group)
-    assert (group.n, report.derived_order) == (6, 8)
-    assert (calls.count("generator_commutator"), calls.count("commutator")) == (15, 0)
-    calls.clear()
-    _parity_masks(group, report)
-    assert calls == ["multiply"] * 14
+    assert (group.n, report.derived_order, len(group.pres.conjugations)) == (6, 8, 3)
+    assert (calls.count("generator_commutator"), calls.count("commutator")) == (3, 0)
     calls.clear()
     w = select_witness(group, report)
-    assert (group.word_str(w.b), group.word_str(w.a)) == ("t", "r1")
-    assert (calls.count("generator_commutator"), calls.count("commutator")) == (10, 0)
+    assert (group.word_str(w.b), group.word_str(w.a), w.k) == ("t", "r1", 4)
+    assert calls == ["multiply"] * 4
+
+
+def test_the_report_does_not_grow_with_the_derived_subgroup(dihedral_times_c2):
+    """D32768 x C2 (n = 16 generators, |G'| = 8192, |Z(G)| = 4): no tuple
+    field of the report holds more than n + |Z(G)| entries."""
+    group = load(dihedral_times_c2(15))
+    report = check_hypotheses(group)
+    assert (group.n, report.derived_order, report.center_order) == (16, 8192, 4)
+    sizes = {key: len(value) for key, value in asdict(report).items()
+             if isinstance(value, tuple)}
+    assert sizes == {"center": 4, "candidates_z": 2, "parities": 16}
+    assert max(sizes.values()) <= group.n + report.center_order
 
 
 def assert_units_are_iterated_conjugates(units, a):

@@ -567,3 +567,27 @@ def test_the_load_limit_is_checked_before_the_tables(monkeypatch):
         load("group E\ngens " + " ".join(f"g{i}" for i in range(19)) + "\n")
     with pytest.raises(TableLimitError, match="order 1073741824 is above 262144"):
         load("group E\ngens " + " ".join(f"g{i}" for i in range(30)) + "\n")
+
+
+def assert_cyclic_lists_the_powers(group, xs):
+    """cyclic(c) is [c^0, ..., c^(|c|-1)], each power taken by power()."""
+    for c in xs:
+        assert group.cyclic(c) == [group.power(c, e) for e in range(group.element_order(c))], (
+            group.name, group.word_str(c))
+
+
+@pytest.mark.parametrize("path", sorted(default_corpus_dir().rglob("*.pc2")), ids=lambda p: p.stem)
+def test_cyclic_lists_the_powers_on_the_corpus(path):
+    group = load_file(path)
+    assert_cyclic_lists_the_powers(group, group.elements())
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_presentations(), st.data())
+def test_cyclic_lists_the_powers_on_random_presentations(pres, data):
+    try:
+        group = FiniteGroup(pres)
+    except ConsistencyError:
+        assume(False)
+    xs = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=8))
+    assert_cyclic_lists_the_powers(group, xs)

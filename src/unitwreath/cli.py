@@ -2,7 +2,8 @@
 
 Subcommands: check, verify, scan, model.  Exit codes:
 0 success/pass, 1 hypothesis failure, 2 verification failure, 3 input or
-usage error, or a resource limit (the table limit or the closure cap),
+usage error, or a resource limit (the load limit, or the closure cap in the
+group algebra's cross-check),
 141 (128 + SIGPIPE) when stdout's reader closed early, as `| head` does.
 """
 
@@ -111,14 +112,12 @@ def _pipeline_text(result) -> str:
         )
     if result.orbit is not None:
         lines.append("  orbit of h = 1 + b(1+z) under conjugation by a:")
-        for i, u in enumerate(result.orbit.units):
-            lines.append(f"    h^(a^{i}) = {u.words()}")
+        for i, (words, _) in enumerate(result.orbit_units()):
+            lines.append(f"    h^(a^{i}) = {words}")
     if result.section is not None:
         sec = result.section
-        lines.append(
-            f"  base |X| = {sec.base_order}, ambient |<X,a>| = {sec.ambient_order}, "
-            f"kernel = {sec.kernel_order}, section = {sec.quotient_order}"
-        )
+        lines.append("  base |X| = {base_order}, ambient |<X,a>| = {ambient_order}, "
+                     "kernel = {kernel_order}, section = {quotient_order}".format(**sec.orders()))
         for name in construct.CHECK_NAMES:
             if name in sec.checks:
                 lines.append(f"    {name:<34} {'ok' if sec.checks[name] else 'FAIL'}")
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cap", type=_positive_int, default=oracle.DEFAULT_CAP,
-        help="size cap for unit-group closures",
+        help="size cap for the closures of the group algebra's cross-check",
     )
     p.add_argument("--oracle", action="store_true",
                    help="enable brute-force isomorphism cross-check "

@@ -1,23 +1,23 @@
 """Constructive wreath-section pipeline for the normalized unit group.
 
 Given a finite non-abelian 2-group G with cyclic derived subgroup and a
-central involution z outside it, this module builds the unit
-h = 1 + b(1+z), its conjugate orbit under a, the elementary abelian base
-group X the orbit generates, and the quotient of <X, a> by <a^(2^s)>, then
-verifies that quotient is the regular wreath product C2 wr C_{2^s}.
-Every step is recorded as a named boolean check.
+central involution z outside it, this module finds the witness (a, b, z),
+certifies by group products that the conjugates of h = 1 + b(1+z) under a
+give the section <X, a>/<a^(2^s)> ≅ C2 wr C_{2^s} (certify), and, where the
+group algebra is built, cross-checks it there.  Every step is recorded as a
+named boolean check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import eq
 
 from . import kernels, oracle
 from .grpalg import AlgebraElement, GroupAlgebra
 from .oracle import TableGroup, bfs_closure, isomorphic_small, reference_table, table_from_rows
-from .pcgroup import ClosureCapError, FiniteGroup, closure, compose
+from .pcgroup import CAYLEY_LIMIT, ClosureCapError, FiniteGroup, closure, compose
 
 CHECK_NAMES = (
     "orbit-closed-form",
@@ -32,6 +32,7 @@ CHECK_NAMES = (
     "complement-trivial-intersection",
     "oracle-isomorphism",
 )
+ORDER_FIELDS = ("base_order", "ambient_order", "kernel_order", "quotient_order")
 
 ORACLE_MAX_S = 2  # --oracle runs the isomorphism test up to C2 wr C4 (order 64)
 REASON_ABELIAN = "abelian"
@@ -40,7 +41,7 @@ REASON_NO_Z = "no-central-involution-outside-derived"
 
 
 class NoWitnessError(Exception):
-    """No (b, a) pair satisfies the witness side conditions."""
+    """A witness override (a, b, z) fails the side conditions."""
 
 
 class ConstructionError(Exception):
@@ -104,6 +105,12 @@ class BaseOrbit:
     units: tuple[AlgebraElement, ...]
 
 
+def json_order(x: int) -> int | str:
+    """x = 2^e as reported: the int while e < 53, exact in every JSON reader
+    (RFC 8259 §6), else "2^e", which prints past CPython's 4,300 digits."""
+    return x if x < 1 << 53 else f"2^{x.bit_length() - 1}"
+
+
 @dataclass
 class SectionReport:
     witness: Witness
@@ -118,14 +125,15 @@ class SectionReport:
     def verdict(self) -> bool:
         return bool(self.checks) and all(self.checks.values())
 
+    def orders(self) -> dict[str, int | str]:
+        """The four orders, each as json_order writes it."""
+        return {name: json_order(getattr(self, name)) for name in ORDER_FIELDS}
+
     def to_dict(self, group: FiniteGroup) -> dict:
         return {
             "group": group.name,
             "witness": self.witness.to_dict(group),
-            "base_order": self.base_order,
-            "ambient_order": self.ambient_order,
-            "kernel_order": self.kernel_order,
-            "quotient_order": self.quotient_order,
+            **self.orders(),
             "checks": dict(self.checks),
             "verdict": "pass" if self.verdict else "fail",
             "detail": self.detail,
@@ -345,6 +353,13 @@ def select_witness(
     mask, so the least is the lowest letter of the first kind or the sum of
     the lowest letters of the other two, whichever qualifies and is
     smaller.
+
+    The scan always returns: the generator commutators generate G' = <c>
+    (check_hypotheses), so some (gk, gj) has an odd exponent.  With b = gk
+    and a = gj, (b, a) qualifies when m = 2 or k_a ≡ 1 mod 4; (b, a·b) when
+    k_a ≡ 3 ≡ k_b, as E_b(a·b) = k_b·E_b(a) is odd and k_(a·b) = k_a·k_b ≡ 1;
+    and (a, b) when k_a ≡ 3 and k_b ≡ 1, as E_a(b) = -E_b(a) is odd.  So some
+    generator lies outside W.
     """
     if not report.passed:
         raise ValueError("select_witness requires a hypothesis-passing group")
@@ -372,62 +387,72 @@ def select_witness(
             if a is not None:
                 b = 1 << i
                 break
-        else:
-            raise NoWitnessError(
-                f"{group.name}: no (b, a) pair generates the derived subgroup with "
-                f"(b, a^(2^{s})) = 1 and 2^{s} distinct commutators"
-            )
     return Witness(a=a, b=b, z=z, s=s, k=group.element_order(a).bit_length() - 1)
 
 
-def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
-    """The conjugates h_i = h^(a^i) = 1 + b_i(1+z) of h = 1 + b(1+z), b_i = b^(a^i),
-    and the certificate that they generate X ≅ C2^m.
+def certify(group: FiniteGroup, w: Witness) -> tuple[tuple[int, int], ...]:
+    """The pairs (b_i, b_i·z), b_i = b^(a^i), i < m = 2^s: by group products
+    alone, the certificate that <X, a>/<a^m> ≅ C2 wr C_m, X generated by the
+    h_i = h^(a^i) = 1 + x_i, h = 1 + b(1+z), x_i = b_i(1+z).
 
-    Conjugation by a, an automorphism, carries h_i's support {1, b_i, b_i·z}
-    onto {1, b_(i+1), b_(i+1)·z^a}: the closed form holds for every i exactly
-    when z^a = z, which one conjugation checks (a failure shows at i = 1).
-    Each unit then costs b_i·z and b_(i+1) = b_i^a, and its bitset is that
-    of from_support((0, b_i, b_i·z)).  The orbit wraps when b_m = b.
+    Conjugation by a carries h_i's support {1, b_i, b_i·z} onto {1, b_(i+1),
+    b_(i+1)·z^a}: the closed form holds for every i exactly when z^a = z
+    (else it fails at i = 1).  When z·z = 1 (orbit-orders) and z^b = z
+    (pairwise-commuting), z is central in <a, b> ∋ b_i, so x_i·x_j =
+    b_i·b_j·(1+z²) = 0 in characteristic 2: the h_i are commuting involutions
+    with product 1 + Σ_{i∈S} x_i over S.  When 1, the b_i and the b_i·z are
+    2m+1 distinct elements (subset-products-nontrivial), these 2^m sums are
+    distinct, so X ≅ C2^m, and X ∩ <a> = 1: supports 1 + 2|S| against 1.
+    When b_m = b, a shifts the h_i cyclically, and each 0 < i < m moves h_0:
+    X is normal with the regular shift action, m divides |a| = 2^k, and
+    |<X, a>| = 2^(m+k), |<a^m>| = 2^(k-s), |<X, a>/<a^m>| = 2^(m+s).  a^m
+    commutes with a and fixes h_0, so every h_i: the kernel is central with
+    no convolution.
 
-    The certificate, with h_i = 1 + x_i: when z·z = 1 (orbit-orders) and
-    z^b = z (pairwise-commuting), z is central in <a, b> ∋ b_i, so in
-    characteristic 2 x_i·x_j = b_i·b_j·(1+z)² = b_i·b_j·(1+z²) = 0: the h_i
-    are commuting involutions with product 1 + Σ_{i∈S} x_i over S.  When 1,
-    the b_i and the b_i·z are 2m+1 distinct elements (subset-products-nontrivial),
-    these 2^m sums are distinct, so X ≅ C2^m.
+    The section lies in V(F2·G), a subgroup of V(KG) for every field K of
+    characteristic 2 (K ⊇ F2): one verdict over F2 covers every such K.
     """
-    group, a, b, z = algebra.group, w.a, w.b, w.z
+    a, b, z = w.a, w.b, w.z
     word, m = group.word_str, 1 << w.s
     if group.conjugate(z, a) != z:
         got = group.conjugate(group.multiply(b, z), a)
         expected = group.multiply(group.conjugate(b, a), z)
-        raise ConstructionError(
-            f"orbit closed form fails at i=1: (b_0·z)^a is "
-            f"{group.word_str(got)}, not b_1·z = {group.word_str(expected)}"
-        )
+        raise ConstructionError(f"orbit closed form fails at i=1: (b_0·z)^a is {word(got)}, "
+                                f"not b_1·z = {word(expected)}")
     if group.multiply(z, z):
         raise ConstructionError(f"orbit-orders fails: z = {word(z)} is not an involution")
     if group.conjugate(z, b) != z:
         raise ConstructionError(
             f"pairwise-commuting fails: z = {word(z)} does not commute with b = {word(b)}")
-    units, elements, b_i = [], [0], b
+    pairs, b_i = [], b
     for _ in range(m):
-        b_z = group.multiply(b_i, z)
-        units.append(AlgebraElement(algebra, 1 ^ (1 << b_i) ^ (1 << b_z)))
-        elements += b_i, b_z
+        pairs.append((b_i, group.multiply(b_i, z)))
         b_i = group.conjugate(b_i, a)
     if b_i != b:
         raise ConstructionError("orbit does not wrap around under conjugation by a")
+    elements = [0, *chain.from_iterable(pairs)]
     if len(set(elements)) < 2 * m + 1:
         repeat = next(x for x in elements if elements.count(x) > 1)
         raise ConstructionError(f"subset-products-nontrivial fails: {word(repeat)} repeats "
                                 "among 1, the b_i and the b_i·z")
-    return BaseOrbit(units=tuple(units))
+    return tuple(pairs)
+
+
+def certified_section(w: Witness) -> SectionReport:
+    """What certify proves for w: every check but oracle-isomorphism, and the orders."""
+    m = 1 << w.s
+    return SectionReport(w, 1 << m, 1 << (m + w.k), 1 << (w.k - w.s), 1 << (m + w.s),
+                         dict.fromkeys(CHECK_NAMES[:-1], True))
+
+
+def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
+    """The units h_i = 1 + b_i + b_i·z on certify's pairs: X's generators."""
+    return BaseOrbit(units=tuple(AlgebraElement(algebra, 1 ^ (1 << b_i) ^ (1 << b_z))
+                                 for b_i, b_z in certify(algebra.group, w)))
 
 
 def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
-    """X ≅ C2^m, by build_orbit's certificate the 2^m sums 1 + Σ_{i∈S} x_i
+    """X ≅ C2^m, by certify the 2^m sums 1 + Σ_{i∈S} x_i
     for h_i = 1 + x_i, listed without a product.  Returns (X sorted by
     bitset, the three checks, all True); |X| > cap raises ClosureCapError.
     """
@@ -438,7 +463,7 @@ def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
     base = [1]
     for x in xs:
         base += [y ^ x for y in base]
-    # orbit-orders to subset-products-nontrivial: build_orbit enforced them
+    # orbit-orders to subset-products-nontrivial: certify enforced them
     checks = dict.fromkeys(CHECK_NAMES[1:4], True)
     return [AlgebraElement(orbit.units[0].algebra, bits) for bits in sorted(base)], checks
 
@@ -470,7 +495,7 @@ def build_section(
         raise ClosureCapError(f"the section's kernel <a^{m}>: {exc}") from exc
 
     checks = dict(base_checks)
-    checks["orbit-closed-form"] = True  # build_orbit already enforced it
+    checks["orbit-closed-form"] = True  # certify already enforced it
     # the kernel <a^m> is central in <h_0, a> exactly when a^m commutes with both
     checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
@@ -545,13 +570,18 @@ class PipelineResult:
     group: FiniteGroup
     hypothesis: HypothesisReport
     witness: Witness | None = None
-    orbit: BaseOrbit | None = None
+    orbit: tuple[tuple[int, int], ...] | None = None  # certify's pairs (b_i, b_i·z)
     section: SectionReport | None = None
     error: str | None = None
 
     @property
     def verdict(self) -> bool:
         return self.section is not None and self.section.verdict
+
+    def orbit_units(self) -> list[tuple[str, list[int]]]:
+        """Each h_i = 1 + b_i + b_i·z as its words and its sorted support."""
+        supports = [sorted((0, *pair)) for pair in self.orbit]
+        return [(" + ".join(map(self.group.word_str, s)), s) for s in supports]
 
     def to_dict(self) -> dict:
         out = {
@@ -562,10 +592,8 @@ class PipelineResult:
         if self.witness is not None:
             out["witness"] = self.witness.to_dict(self.group)
         if self.orbit is not None:
-            out["orbit"] = [
-                {"words": u.words(), "support": list(u.support())}
-                for u in self.orbit.units
-            ]
+            out["orbit"] = [{"words": words, "support": support}
+                            for words, support in self.orbit_units()]
         if self.section is not None:
             out["section"] = self.section.to_dict(self.group)
         out["verdict"] = "pass" if self.verdict else "fail"
@@ -581,13 +609,14 @@ def run_pipeline(
     cap: int = oracle.DEFAULT_CAP,
     hypothesis: HypothesisReport | None = None,
 ) -> PipelineResult:
-    """Hypotheses, witness, orbit, base group, section: the full check.
+    """Hypotheses, witness and certificate: the verdict, at every order.
 
     A hypothesis report already computed for this group may be passed in.
-    Resource limits are not verdicts: TableLimitError and ClosureCapError
-    propagate to the caller.  The table limit and the cap's bound on
-    <X, a> are tested before the witness search; the closures are capped
-    as they run.
+    The report is certified_section's.  Where the group algebra is built
+    (order at most CAYLEY_LIMIT, 2|X| = 2^(m+1) within cap) the algebra path
+    cross-checks it, and --oracle's check and detail are build_section's;
+    elsewhere the detail says why not.  A rejected override raises
+    NoWitnessError and a capped closure ClosureCapError: not verdicts.
     """
     if hypothesis is None:
         hypothesis = check_hypotheses(group)
@@ -595,29 +624,30 @@ def run_pipeline(
     if not hypothesis.passed:
         result.error = f"hypotheses fail: {hypothesis.failure_reason}"
         return result
-    # the table limit and the cap, both known before any search: the orbit
-    # has m = |G'| units, so |X| = 2^m by build_orbit's certificate, and a
-    # is not in X (support 1, against 1 + 2|S| >= 3)
-    algebra = GroupAlgebra(group)
-    m = hypothesis.derived_order
-    if 2 << m > cap:
-        raise ClosureCapError(
-            f"ambient group <X, a> of order at least 2|X| = {2 << m} exceeds cap {cap}"
-        )
+    w = result.witness = select_witness(group, hypothesis, override=override)
+    m = 1 << w.s
     try:
-        witness = select_witness(group, hypothesis, override=override)
-        result.witness = witness
-        orbit = build_orbit(algebra, witness)
-        result.orbit = orbit
-        base, base_checks = verify_base_group(orbit, cap=cap)
-        result.section = build_section(
-            algebra, witness, base, orbit,
-            use_oracle=use_oracle, cap=cap, base_checks=base_checks,
-        )
-    except NoWitnessError as exc:
-        if override is not None:
-            raise  # a rejected override is the caller's input error
-        result.error = str(exc)
+        result.orbit = certify(group, w)
+        section = certified_section(w)
+        if group.order > CAYLEY_LIMIT:
+            section.detail = (f"algebra cross-check not run: order {group.order} is above "
+                              f"{CAYLEY_LIMIT}, the largest order whose group algebra is built")
+        elif 2 << m > cap:
+            section.detail = ("algebra cross-check not run: <X, a> has at least "
+                              f"2|X| = 2^{m + 1} elements, above cap {cap}")
+        else:
+            algebra = GroupAlgebra(group)
+            orbit = build_orbit(algebra, w)
+            base, base_checks = verify_base_group(orbit, cap=cap)
+            checked = build_section(algebra, w, base, orbit, use_oracle=use_oracle, cap=cap,
+                                    base_checks=base_checks)
+            want, got = ({**report.checks, **report.orders()} for report in (section, checked))
+            differ = [name for name in want if got.get(name) != want[name]]
+            if differ:
+                raise ConstructionError(
+                    f"the algebra cross-check differs from the certificate at {differ[0]}")
+            section = checked
+        result.section = section
     except ConstructionError as exc:
         result.error = str(exc)
     return result

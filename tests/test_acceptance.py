@@ -102,7 +102,7 @@ def test_criterion_4_witness_properties(sweep):
         group = result.group
         algebra = GroupAlgebra(group)
         w = result.witness
-        units = result.orbit.units
+        units = [algebra.from_support((0, *pair)) for pair in result.orbit]  # certify's pairs
         m = 1 << w.s
         # (a) every orbit member has unit order 2
         assert all(unit_order(u) == 2 for u in units), group.name

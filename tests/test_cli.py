@@ -199,7 +199,8 @@ def test_usage_error_exits_3(capsys, argv):
 
 class TestLargeGroups:
     """Orders above the group algebra's table limit (512): consistency is
-    still proved, and `verify` refuses the group when it builds the algebra."""
+    still proved, and `verify` gives the certificate's verdict without the
+    algebra."""
 
     # the inconsistent order-8 presentation (b^a = b^2 = 1) with 9 free generators
     INCONSISTENT_2048 = (
@@ -220,14 +221,33 @@ class TestLargeGroups:
         assert out == ""
         assert err.count("\n") == 1 and "overlap (b·a)·a" in err
 
-    @pytest.mark.parametrize("command", ["verify"])
-    def test_above_table_limit_exits_3(self, capsys, tmp_path, command):
+    ABOVE_THE_TABLE_LIMIT = (
+        "algebra cross-check not run: order {} is above 512, the largest order whose "
+        "group algebra is built"
+    )
+
+    def test_above_table_limit_passes(self, capsys, tmp_path):
         path = tmp_path / "big.pc2"
         path.write_text(self.CONSISTENT_1024)
-        code, out, err = run(capsys, command, str(path), "--json")
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1 and "order 1024" in err
+        code, out, err = run(capsys, "verify", str(path), "--json")
+        assert (code, err) == (0, "")
+        section = json.loads(out)["section"]
+        assert section["verdict"] == "pass" and section["quotient_order"] == 8
+        assert section["detail"] == self.ABOVE_THE_TABLE_LIMIT.format(1024)
+
+    def test_orders_of_more_than_4300_digits_print(self, dihedral_file):
+        # D65536 x C2 (order 2^17, m = 16,384): |X| = 2^16384 has 4,933
+        # digits, more than CPython turns into a string
+        path = dihedral_file(16)
+        proc = run_subprocess("verify", path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "  base |X| = 2^16384, ambient |<X,a>| = 2^16399, kernel = 2, " in proc.stdout
+        proc = run_subprocess("verify", path, "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        section = json.loads(proc.stdout)["section"]
+        assert section["verdict"] == "pass" and section["base_order"] == "2^16384"
+        assert (section["kernel_order"], section["quotient_order"]) == (2, "2^16398")
+        assert section["detail"] == self.ABOVE_THE_TABLE_LIMIT.format(131072)
 
     # 30 generators and no relation: order 2^30, whose tables would hold 30·2^30 entries
     WIDE_2_30 = "group E30\ngens " + " ".join(f"g{i}" for i in range(30)) + "\n"
@@ -258,14 +278,15 @@ class TestLargeGroups:
         (tmp_path / "D8xC2.pc2").write_text(Path(d8xc2_path).read_text())
         (tmp_path / "big.pc2").write_text(self.CONSISTENT_1024)
         code, out, _ = run(capsys, "verify", str(tmp_path), "--json")
-        assert code == 3
+        assert code == 0
         data = json.loads(out)
         assert [(p["group"], p["verdict"]) for p in data["pipelines"]] == [
-            ("D8xC2", "pass")
+            ("D8xC2", "pass"), ("D8xC2xE64", "pass")
         ]
-        (error,) = data["census"]["errors"]
-        assert error["name"] == "big" and "order 1024" in error["error"]
-        assert data["verdict"] == "fail"
+        assert [p["section"]["detail"] for p in data["pipelines"]] == [
+            None, self.ABOVE_THE_TABLE_LIMIT.format(1024)
+        ]
+        assert data["census"]["errors"] == [] and data["verdict"] == "pass"
 
 
 class TestVerify:
@@ -309,24 +330,30 @@ class TestVerify:
         assert {"name": "o32_45", "error": message} in json.loads(out)["census"]["errors"]
 
     def test_cap_bounds_the_base_group(self, dihedral_file):
-        # D128 x C2 (s = 5): X would have 2^32 elements, so <X, a> at least
-        # 2^33, which the pipeline refuses before the witness search; the
-        # base group's own refusal is tested in test_construct
+        # D128 x C2 (s = 5): X has 2^32 elements, so <X, a> at least 2^33:
+        # the algebra cross-check, which would list X, does not run, and the
+        # certificate's verdict stands; the base group's own refusal is
+        # tested in test_construct
         proc = run_subprocess("verify", dihedral_file(7), "--json")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith(
-            "ambient group <X, a> of order at least 2|X| = 8589934592 exceeds cap 65536\n"
+        assert (proc.returncode, proc.stderr) == (0, "")
+        section = json.loads(proc.stdout)["section"]
+        assert section["verdict"] == "pass" and section["base_order"] == 1 << 32
+        assert section["detail"] == (
+            "algebra cross-check not run: <X, a> has at least 2|X| = 2^33 elements, "
+            "above cap 65536"
         )
 
     def test_cap_bounds_the_ambient_group_before_closing_it(self, dihedral_file):
         # D64 x C2 (s = 4): |X| = 2^16 fits the cap, but <X, a> has at least
-        # 2^17 elements, which is known before the closure starts
+        # 2^17 elements, which is known before the cross-check's closures start
         proc = run_subprocess("verify", dihedral_file(6), "--json")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1
-        assert "<X, a>" in proc.stderr and "2|X| = 131072 exceeds cap 65536" in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
+        section = json.loads(proc.stdout)["section"]
+        assert section["verdict"] == "pass" and section["ambient_order"] == 1 << 21
+        assert section["detail"] == (
+            "algebra cross-check not run: <X, a> has at least 2|X| = 2^17 elements, "
+            "above cap 65536"
+        )
 
     def test_oracle_skip_is_reported(self, capsys, dihedral_file):
         # D32 x C2 has s = 3, above the oracle's limit
@@ -525,10 +552,10 @@ class TestPipelineErrors:
         assert "witness" not in data and data["verdict"] == "fail"
 
     def test_a_construction_shown_false(self, capsys, monkeypatch, d8xc2_path):
-        def refute(algebra, w):
+        def refute(group, w):
             raise construct.ConstructionError("orbit refuted")
 
-        monkeypatch.setattr(construct, "build_orbit", refute)
+        monkeypatch.setattr(construct, "certify", refute)
         code, out, err = run(capsys, "verify", d8xc2_path, "--json")
         data = json.loads(out)
         assert (code, err) == (2, "")
@@ -536,16 +563,12 @@ class TestPipelineErrors:
         assert data["witness"]["b"] == "b"
         assert "orbit" not in data and "section" not in data
 
-    def test_an_exhausted_witness_search(self, capsys, monkeypatch, d8xc2_path):
-        monkeypatch.setattr(construct, "_qualifies", lambda *args: False)
-        code, out, err = run(capsys, "verify", d8xc2_path, "--json")
-        data = json.loads(out)
-        assert (code, err) == (2, "")
-        assert data["error"] == (
-            "D8xC2: no (b, a) pair generates the derived subgroup with "
-            "(b, a^(2^1)) = 1 and 2^1 distinct commutators"
-        )
-        assert "witness" not in data and "section" not in data
+    def test_a_rejected_witness_override(self, capsys, d8xc2_path):
+        # the search always finds a witness (select_witness proves it): only
+        # an override can be refused, and that is an input error
+        code, out, err = run(capsys, "verify", d8xc2_path, "--json", "--witness", "a=c,b=c,z=z")
+        assert (code, out) == (3, "")
+        assert err == "error: override pair (b, a) = (c, c) violates the witness side conditions\n"
 
 
 class TestModel:

@@ -23,7 +23,10 @@ from unitwreath.construct import (
     Witness,
     build_orbit,
     build_section,
+    certified_section,
+    certify,
     check_hypotheses,
+    json_order,
     run_pipeline,
     select_witness,
     verify_base_group,
@@ -46,9 +49,8 @@ from unitwreath.pcgroup import (
 
 def section_quotient(result):
     """The section's QuotientGroup for a pipeline result, its generators and kernel."""
-    algebra = result.orbit.units[0].algebra
-    w = result.witness
-    gens = list(result.orbit.units) + [algebra.embed(w.a)]
+    algebra, w = GroupAlgebra(result.group), result.witness
+    gens = list(build_orbit(algebra, w).units) + [algebra.embed(w.a)]
     kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
     return QuotientGroup(gens, kernel), gens, kernel
 
@@ -62,6 +64,11 @@ def pipeline(d8xc2):
     result = run_pipeline(d8xc2, use_oracle=True)
     assert result.error is None
     return result
+
+
+@pytest.fixture(scope="module")
+def orbit(pipeline, d8xc2_algebra):
+    return build_orbit(d8xc2_algebra, pipeline.witness)
 
 
 class TestHypotheses:
@@ -170,20 +177,18 @@ REPEATS = "subset-products-nontrivial fails: {} repeats among 1, the b_i and the
 
 
 class TestOrbit:
-    def test_d8xc2_orbit(self, pipeline, d8xc2):
-        orbit = pipeline.orbit
+    def test_d8xc2_orbit(self, orbit):
         assert len(orbit.units) == 2
         words = [u.words() for u in orbit.units]
         assert words[0] == "1 + b + b·z"
         assert words[1] == "1 + c·b + c·b·z"
 
-    def test_support_and_augmentation(self, pipeline):
-        for u in pipeline.orbit.units:
+    def test_support_and_augmentation(self, orbit):
+        for u in orbit.units:
             assert u.bits.bit_count() == 3
             assert u.augmentation() == 1
 
-    def test_wraparound(self, pipeline, d8xc2):
-        orbit = pipeline.orbit
+    def test_wraparound(self, pipeline, orbit):
         back = conjugate_unit(orbit.units[-1], pipeline.witness.a)
         assert back == orbit.units[0]
 
@@ -207,6 +212,13 @@ class TestOrbit:
         [
             # z ∈ G': b_0·z = b_1
             pytest.param("o16/D8xC2.pc2", 1, "a", "b", "c", REPEATS.format("b"), id="z-in-derived"),
+            # z = b·z does not commute with a
+            pytest.param("o16/D8xC2.pc2", 1, "a", "b", "b*z",
+                         "orbit closed form fails at i=1: (b_0·z)^a is z, not b_1·z = c·z",
+                         id="z-moved-by-a"),
+            # m = 1 unit, but b^a = c·b
+            pytest.param("o16/D8xC2.pc2", 0, "a", "b", "z",
+                         "orbit does not wrap around under conjugation by a", id="no-wrap"),
             # z = 1: b_i·z = b_i, so every x_i is 0
             pytest.param("o16/D8xC2.pc2", 1, "a", "b", "1", REPEATS.format("b"), id="z-one"),
             # a central b: b_0 = b_1, and the orbit still wraps
@@ -225,13 +237,13 @@ class TestOrbit:
         ],
     )
     def test_each_certificate_check_is_named(self, corpus_dir, path, s, a, b, z, message):
-        """A hand-built witness that fails one check of build_orbit's
-        certificate, after the closed form and the wrap."""
+        """A hand-built witness that fails one check of certify, by group
+        products alone, gets that check's message."""
         group = load_file(corpus_dir / path)
         a, b, z = map(group.parse_word, (a, b, z))
         bad = Witness(a=a, b=b, z=z, s=s, k=group.element_order(a).bit_length() - 1)
         with pytest.raises(ConstructionError) as info:
-            build_orbit(GroupAlgebra(group), bad)
+            certify(group, bad)
         assert str(info.value) == message
 
 
@@ -301,33 +313,52 @@ def brute_force_qualifies(group, m, a, b):
     )
 
 
-@settings(max_examples=500, deadline=None)  # every draw qualifies: 500 of 500 in a counted run
-@given(qualifying_presentations(), st.data())
-def test_the_search_matches_a_brute_force_scan(pres, data):
-    """On random qualifying groups: the witness is the first (b, a) in
-    canonical order that brute_force_qualifies, and a drawn override (a, b)
-    is accepted exactly when it qualifies."""
-    group = load(serialize_presentation(pres))
-    report = check_hypotheses(group)
-    assert report.passed
-    m, z = report.derived_order, report.candidates_z[0]
+def assert_the_search_finds_the_first_witness(group, report):
+    """Some (b, a) qualifies (select_witness proves it), and the witness is
+    the first in canonical order that brute_force_qualifies."""
+    m = report.derived_order
     first = next(
         ((a, b) for b in group.elements() for a in group.elements()
          if brute_force_qualifies(group, m, a, b)),
         None,
     )
-    if first is None:
-        with pytest.raises(NoWitnessError):
-            select_witness(group, report)
-    else:
-        w = select_witness(group, report)
-        assert (w.a, w.b, w.z) == (*first, z)
+    assert first is not None, group.name
+    w = select_witness(group, report)
+    assert (w.a, w.b, w.z) == (*first, report.candidates_z[0])
+
+
+@settings(max_examples=500, deadline=None)  # every draw qualifies: 500 of 500 in a counted run
+@given(qualifying_presentations(), st.data())
+def test_the_search_matches_a_brute_force_scan(pres, data):
+    """On random qualifying groups: a witness exists, it is the first (b, a)
+    in canonical order that brute_force_qualifies, and a drawn override
+    (a, b) is accepted exactly when it qualifies."""
+    group = load(serialize_presentation(pres))
+    report = check_hypotheses(group)
+    assert report.passed
+    assert_the_search_finds_the_first_witness(group, report)
+    m, z = report.derived_order, report.candidates_z[0]
     a, b = (data.draw(st.integers(0, group.order - 1)) for _ in "ab")
     if brute_force_qualifies(group, m, a, b):
         assert select_witness(group, report, override=(a, b, z)).a == a
     else:
         with pytest.raises(NoWitnessError):
             select_witness(group, report, override=(a, b, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_presentations())
+def test_every_passing_random_group_has_a_witness(pres):
+    """The random presentations of test_the_hypotheses_match_brute_force,
+    filtered to the consistent ones whose group passes the hypotheses
+    (about one in ten): each has a witness, the first by brute force."""
+    try:
+        group = load(serialize_presentation(pres))
+    except ConsistencyError:
+        return
+    report = check_hypotheses(group)
+    if report.passed:
+        assert_the_search_finds_the_first_witness(group, report)
 
 
 def brute_force_hypotheses(group):
@@ -581,8 +612,7 @@ def test_the_witness_above_the_table_limit(dihedral_times_c2):
 
 
 class TestBaseGroup:
-    def test_x_is_the_four_group_of_units(self, pipeline, d8xc2):
-        orbit = pipeline.orbit
+    def test_x_is_the_four_group_of_units(self, orbit):
         base, checks = verify_base_group(orbit)
         assert len(base) == 4
         h, ha = orbit.units
@@ -590,19 +620,19 @@ class TestBaseGroup:
         assert {u.bits for u in base} == expected
         assert all(checks.values())
 
-    def test_full_orbit_product_nontrivial(self, pipeline):
-        prod = pipeline.orbit.units[0]
-        for u in pipeline.orbit.units[1:]:
+    def test_full_orbit_product_nontrivial(self, orbit):
+        prod = orbit.units[0]
+        for u in orbit.units[1:]:
             prod = prod * u
         assert prod.bits != 1
-        assert prod.bits.bit_count() == 1 + 2 * len(pipeline.orbit.units)
+        assert prod.bits.bit_count() == 1 + 2 * len(orbit.units)
 
-    def test_cap_bounds_the_base_group(self, pipeline):
+    def test_cap_bounds_the_base_group(self, orbit):
         # m = 2 orbit units: X has 2^2 elements, which a cap of 4 admits
-        base, _ = verify_base_group(pipeline.orbit, cap=4)
+        base, _ = verify_base_group(orbit, cap=4)
         assert len(base) == 4
         with pytest.raises(ClosureCapError, match=r"^base group X of order 2\^2 exceeds cap 3$"):
-            verify_base_group(pipeline.orbit, cap=3)
+            verify_base_group(orbit, cap=3)
 
 
 def assert_base_is_the_closure_of_the_orbit(group):
@@ -690,10 +720,10 @@ class TestSection:
         assert pipeline.section.verdict
         assert pipeline.section.checks["oracle-isomorphism"]
 
-    def test_kernel_centralizes_base(self, pipeline, d8xc2):
+    def test_kernel_centralizes_base(self, pipeline, orbit, d8xc2):
         w = pipeline.witness
         a_pow = d8xc2.power(w.a, 1 << w.s)
-        for u in pipeline.orbit.units:
+        for u in orbit.units:
             assert conjugate_unit(u, a_pow) == u
 
     def test_corrupted_quotient_fails(self, pipeline):
@@ -882,8 +912,8 @@ def test_the_quotient_reads_only_the_rows_of_its_generators(monkeypatch, n, dihe
     """On D16 x C2 and D32 x C2 QuotientGroup(h_0, a) reads from the
     algebra's RowStore the rows of supp(h_0) ∪ {a} and no other."""
     result = run_pipeline(load(dihedral_times_c2(n)), use_oracle=False)
-    h0, w = result.orbit.units[0], result.witness
-    algebra = h0.algebra
+    algebra, w = GroupAlgebra(result.group), result.witness
+    h0 = build_orbit(algebra, w).units[0]
     kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
     recorded = RecordedRows(algebra._conv._rows)
     monkeypatch.setattr(algebra._conv, "_rows", recorded)
@@ -931,11 +961,88 @@ class TestPipeline:
         assert result.verdict
         assert "oracle-isomorphism" not in result.section.checks
 
-    def test_cap_is_tested_before_the_witness_search(self, monkeypatch, dihedral_times_c2):
-        # D64 x C2: |G'| = 16, so <X, a> has at least 2^17 elements
-        def search(*args, **kwargs):
-            raise AssertionError("searched for a witness")
+    def test_cap_is_tested_before_the_algebra_is_built(self, monkeypatch, dihedral_times_c2):
+        # D64 x C2: |G'| = 16, so <X, a> has at least 2^17 elements, past
+        # the cap: the certificate's verdict stands, with no algebra
+        monkeypatch.setattr(construct, "GroupAlgebra", refuse_the_algebra)
+        result = run_pipeline(load(dihedral_times_c2(6)))
+        assert result.verdict and result.section.base_order == 1 << 16
+        assert result.section.detail == (
+            "algebra cross-check not run: <X, a> has at least 2|X| = 2^17 elements, "
+            "above cap 65536")
 
-        monkeypatch.setattr(construct, "select_witness", search)
-        with pytest.raises(ClosureCapError, match=r"2\|X\| = 131072 exceeds cap 65536"):
-            run_pipeline(load(dihedral_times_c2(6)))
+    def test_a_verdict_above_the_table_limit(self, monkeypatch, dihedral_times_c2):
+        # D512 x C2 (order 1024, m = 128): no algebra, and no row of the group
+        monkeypatch.setattr(construct, "GroupAlgebra", refuse_the_algebra)
+        group = load(dihedral_times_c2(9))
+        result = run_pipeline(group, use_oracle=True)
+        assert result.verdict and result.error is None
+        assert result.section.to_dict(group) == {
+            **certified_section(result.witness).to_dict(group),
+            "detail": "algebra cross-check not run: order 1024 is above 512, the largest "
+                      "order whose group algebra is built",
+        }
+        assert result.section.quotient_order == 1 << 135
+        assert len(result.orbit) == 128 and result.orbit_units()[0] == ("1 + t + t·c", [0, 2, 3])
+        assert_holds_no_row(group)
+
+    @pytest.mark.parametrize("flipped, first", [
+        (["orbit-orders"], "orbit-orders"),
+        (["top-order", "kernel-central"], "kernel-central"),
+        (["kernel_order"], "kernel_order"),
+        (["quotient_order", "complement-trivial-intersection"],
+         "complement-trivial-intersection"),
+    ])
+    def test_a_cross_check_that_differs_is_named(self, monkeypatch, d8xc2, flipped, first):
+        """build_section's report, with checks set False or orders doubled:
+        the pipeline names the first that differs, in CHECK_NAMES order
+        and then the orders, and gives no verdict."""
+        real = construct.build_section
+
+        def differ(*args, **kwargs):
+            section = real(*args, **kwargs)
+            for name in flipped:
+                if name in section.checks:
+                    section.checks[name] = False
+                else:
+                    setattr(section, name, 2 * getattr(section, name))
+            return section
+
+        monkeypatch.setattr(construct, "build_section", differ)
+        result = run_pipeline(d8xc2, use_oracle=False)
+        assert result.error == f"the algebra cross-check differs from the certificate at {first}"
+        assert result.section is None and not result.verdict
+
+
+def refuse_the_algebra(group):
+    raise AssertionError("built the group algebra")
+
+
+def assert_the_certificate_is_the_section(group):
+    """certified_section's report is build_section's: witness, orders,
+    checks and verdict."""
+    w = select_witness(group, check_hypotheses(group))
+    algebra = GroupAlgebra(group)
+    orbit = build_orbit(algebra, w)
+    base, base_checks = verify_base_group(orbit)
+    section = build_section(algebra, w, base, orbit, use_oracle=False, base_checks=base_checks)
+    assert section.to_dict(group) == certified_section(w).to_dict(group), group.name
+
+
+def test_the_certificate_is_the_section_on_the_corpus(qualifying_paths):
+    for group in map(load_file, qualifying_paths):
+        assert_the_certificate_is_the_section(group)
+
+
+@settings(max_examples=50, deadline=None)
+@given(qualifying_presentations())
+def test_the_certificate_is_the_section_on_random_groups(pres):
+    assert_the_certificate_is_the_section(load(serialize_presentation(pres)))
+
+
+@pytest.mark.parametrize("e, written", [(0, 1), (52, 1 << 52), (53, "2^53"), (16384, "2^16384")])
+def test_an_order_is_an_int_below_2_to_the_53(e, written):
+    """JSON readers take every int below 2^53 exactly; from there up an
+    order is written "2^e", which prints at any size."""
+    assert json_order(1 << e) == written
+

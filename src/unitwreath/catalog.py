@@ -12,8 +12,7 @@ from pathlib import Path
 
 from . import construct, pcgroup
 from .construct import HypothesisReport, PipelineResult
-from .oracle import DEFAULT_CAP
-from .pcgroup import ClosureCapError, FiniteGroup, PcError
+from .pcgroup import FiniteGroup, PcError
 
 
 @dataclass
@@ -159,26 +158,18 @@ def verify_all(
     order_filter: int | None = None,
     use_oracle: bool = True,
     keep_going: bool = True,
-    cap: int = DEFAULT_CAP,
 ) -> SweepResult:
     """Run the full pipeline on every hypothesis-passing corpus group.
 
-    A group whose algebra cross-check hits the closure cap gets the error
-    in its census entry, and the sweep goes on.
+    The census' errors are the files that fail to load; every group that
+    loads and passes the hypotheses gets a pipeline result.
     """
     census = scan(directory, order_filter)
     results = []
     for entry in sorted(census.passing(), key=lambda e: e.name):
-        try:
-            result = construct.run_pipeline(
-                entry.group, use_oracle=use_oracle, cap=cap, hypothesis=entry.report
-            )
-        except ClosureCapError as exc:
-            entry.error = str(exc)
-            failed = True
-        else:
-            results.append(result)
-            failed = not result.verdict
-        if failed and not keep_going:
+        result = construct.run_pipeline(entry.group, use_oracle=use_oracle,
+                                        hypothesis=entry.report)
+        results.append(result)
+        if not result.verdict and not keep_going:
             break
     return SweepResult(census=census, results=results)

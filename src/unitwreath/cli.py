@@ -2,8 +2,7 @@
 
 Subcommands: check, verify, scan, model.  Exit codes:
 0 success/pass, 1 hypothesis failure, 2 verification failure, 3 input or
-usage error, or a resource limit (the load limit, or the closure cap in the
-group algebra's cross-check),
+usage error, or a presentation past the load limit,
 141 (128 + SIGPIPE) when stdout's reader closed early, as `| head` does.
 """
 
@@ -142,9 +141,7 @@ def _verify_file(args) -> int:
     override = None
     if args.witness:
         override = _parse_witness(group, args.witness)
-    result = construct.run_pipeline(
-        group, use_oracle=args.oracle, override=override, cap=args.cap
-    )
+    result = construct.run_pipeline(group, use_oracle=args.oracle, override=override)
     print(_dump(result.to_dict()) if args.json else _pipeline_text(result))
     if not result.hypothesis.passed:
         return EXIT_HYPOTHESIS
@@ -161,13 +158,8 @@ def _require_entries(census, args) -> None:
 def _cmd_verify(args) -> int:
     path = Path(args.path)
     if path.is_dir():
-        sweep = catalog.verify_all(
-            path,
-            order_filter=args.order,
-            use_oracle=args.oracle,
-            keep_going=args.keep_going,
-            cap=args.cap,
-        )
+        sweep = catalog.verify_all(path, order_filter=args.order, use_oracle=args.oracle,
+                                   keep_going=args.keep_going)
         _require_entries(sweep.census, args)
         if args.json:
             print(_dump(sweep.to_dict()))
@@ -216,12 +208,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
-
-
 def _group_order(text: str) -> int:
     if not text.isdecimal() or int(text) < 2 or int(text) & (int(text) - 1):
         raise argparse.ArgumentTypeError(f"{text!r} is not a power of two >= 2")
@@ -255,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness",
         metavar="a=<word>,b=<word>,z=<word>",
         help="override witness selection (words like b*c; 1 = identity)",
-    )
-    p.add_argument(
-        "--cap", type=_positive_int, default=oracle.DEFAULT_CAP,
-        help="size cap for the closures of the group algebra's cross-check",
     )
     p.add_argument("--oracle", action="store_true",
                    help="enable brute-force isomorphism cross-check "
@@ -296,8 +278,8 @@ def _run(argv) -> int:
             )
     try:
         return args.func(args)
-    except (pcgroup.PcError, pcgroup.ClosureCapError, construct.NoWitnessError,
-            FileNotFoundError, NotADirectoryError) as exc:
+    except (pcgroup.PcError, construct.NoWitnessError, FileNotFoundError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -474,7 +474,6 @@ def build_section(
     base: list[AlgebraElement],
     orbit: BaseOrbit,
     use_oracle: bool = True,
-    cap: int = oracle.DEFAULT_CAP,
     *,
     base_checks: dict[str, bool],
 ) -> SectionReport:
@@ -482,27 +481,30 @@ def build_section(
 
     X is h_0's orbit under a, so <X, a> = <h_0, a>: the quotient is closed
     from those two, and each orbit unit's image read off its coset.  A unit
-    in no coset is not a conjugate of h_0: ConstructionError.  verify_wreath
-    tests the quotient, and --oracle runs here alone: the isomorphism search
-    for s <= ORACLE_MAX_S, and above that a detail saying it was skipped.
+    in no coset is not a conjugate of h_0: ConstructionError.  Each closure
+    is capped at the order certified_section gives it, 2^(k-s) for the
+    kernel and 2^(m+s) for the quotient, so one that grows past it is a
+    ConstructionError naming that closure.  verify_wreath tests the
+    quotient, and --oracle runs here alone: the isomorphism search for
+    s <= ORACLE_MAX_S, and above that a detail saying it was skipped.
     """
     group, m = algebra.group, 1 << w.s
     gens = [orbit.units[0], algebra.embed(w.a)]
     a_pow = algebra.embed(group.power(w.a, m))
+    closing, cap = f"kernel <a^{m}>", 1 << (w.k - w.s)
     try:
         kernel = bfs_closure([a_pow], cap=cap)
+        closing, cap = f"quotient <h_0, a>/<a^{m}>", 1 << (m + w.s)
+        quotient = QuotientGroup(gens, kernel, cap=cap)
     except ClosureCapError as exc:
-        raise ClosureCapError(f"the section's kernel <a^{m}>: {exc}") from exc
+        raise ConstructionError("the algebra cross-check differs from the certificate at the "
+                                f"section's {closing}: past its certified order {cap}") from exc
 
     checks = dict(base_checks)
     checks["orbit-closed-form"] = True  # certify already enforced it
     # the kernel <a^m> is central in <h_0, a> exactly when a^m commutes with both
     checks["kernel-central"] = all(a_pow * g == g * a_pow for g in gens)
 
-    try:
-        quotient = QuotientGroup(gens, kernel, cap=cap)
-    except ClosureCapError as exc:
-        raise ClosureCapError(f"the section's quotient <h_0, a>/<a^{m}>: {exc}") from exc
     images = [quotient.index_of(u.bits) for u in orbit.units]
     outside = [k for k, image in enumerate(images) if image is None]
     if outside:
@@ -606,17 +608,17 @@ def run_pipeline(
     group: FiniteGroup,
     use_oracle: bool = True,
     override: tuple[int, int, int] | None = None,
-    cap: int = oracle.DEFAULT_CAP,
     hypothesis: HypothesisReport | None = None,
 ) -> PipelineResult:
     """Hypotheses, witness and certificate: the verdict, at every order.
 
     A hypothesis report already computed for this group may be passed in.
     The report is certified_section's.  Where the group algebra is built
-    (order at most CAYLEY_LIMIT, 2|X| = 2^(m+1) within cap) the algebra path
-    cross-checks it, and --oracle's check and detail are build_section's;
-    elsewhere the detail says why not.  A rejected override raises
-    NoWitnessError and a capped closure ClosureCapError: not verdicts.
+    (order at most CAYLEY_LIMIT) and the certified quotient, the largest of
+    the cross-check's closures, has at most oracle.DEFAULT_CAP elements,
+    the algebra path cross-checks it, and --oracle's check and detail are
+    build_section's; elsewhere the detail says why not.  A rejected
+    override raises NoWitnessError: not a verdict.
     """
     if hypothesis is None:
         hypothesis = check_hypotheses(group)
@@ -632,14 +634,14 @@ def run_pipeline(
         if group.order > CAYLEY_LIMIT:
             section.detail = (f"algebra cross-check not run: order {group.order} is above "
                               f"{CAYLEY_LIMIT}, the largest order whose group algebra is built")
-        elif 2 << m > cap:
-            section.detail = ("algebra cross-check not run: <X, a> has at least "
-                              f"2|X| = 2^{m + 1} elements, above cap {cap}")
+        elif section.quotient_order > oracle.DEFAULT_CAP:
+            section.detail = (f"algebra cross-check not run: its quotient <X, a>/<a^{m}> has "
+                              f"2^{m + w.s} elements, above {oracle.DEFAULT_CAP}")
         else:
             algebra = GroupAlgebra(group)
             orbit = build_orbit(algebra, w)
-            base, base_checks = verify_base_group(orbit, cap=cap)
-            checked = build_section(algebra, w, base, orbit, use_oracle=use_oracle, cap=cap,
+            base, base_checks = verify_base_group(orbit)
+            checked = build_section(algebra, w, base, orbit, use_oracle=use_oracle,
                                     base_checks=base_checks)
             want, got = ({**report.checks, **report.orders()} for report in (section, checked))
             differ = [name for name in want if got.get(name) != want[name]]

@@ -16,6 +16,13 @@ pow x = y
 conj w x = w y
 """
 
+# D8 x C2 with 6 free generators: consistent, order 1024, s = 1
+D8_C2_E64 = """group D8xC2xE64
+gens a c b z f1 f2 f3 f4 f5 f6
+pow a = c
+conj b a = b c
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus_dir():

@@ -1,10 +1,13 @@
 import codecs
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitwreath
+from conftest import D8_C2_E64, qualifying_presentations, twisted_presentations
 from unitwreath import construct, oracle
 from unitwreath.catalog import default_corpus_dir
 from unitwreath.cli import _dump, main
-from unitwreath.pcgroup import load_file
+from unitwreath.pcgroup import load_file, serialize_presentation
 
 O16 = str(default_corpus_dir() / "o16")
 D8 = str(default_corpus_dir() / "o8" / "D8.pc2")
@@ -193,7 +197,10 @@ def test_usage_error_exits_3(capsys, argv):
     assert out == ""
     assert err.startswith("usage:")
     assert "error:" in err and "Traceback" not in err
-    if argv[0] in ("verify", "scan", "model"):  # the subcommand's usage line, not the top level's
+    if "--cap" in argv:  # an option no subcommand knows: the top level refuses it
+        assert err.startswith("usage: unitwreath [-h] ")
+        assert "unrecognized arguments: --cap" in err
+    elif argv[0] in ("verify", "scan", "model"):  # the subcommand's usage line, not the top level's
         assert err.startswith(f"usage: unitwreath {argv[0]} ")
 
 
@@ -206,11 +213,7 @@ class TestLargeGroups:
     INCONSISTENT_2048 = (
         "group Bad2048\ngens a b f1 f2 f3 f4 f5 f6 f7 f8 f9\nconj b a = b b\n"
     )
-    # D8 x C2 with 6 free generators: consistent, order 1024
-    CONSISTENT_1024 = (
-        "group D8xC2xE64\ngens a c b z f1 f2 f3 f4 f5 f6\n"
-        "pow a = c\nconj b a = b c\n"
-    )
+    CONSISTENT_1024 = D8_C2_E64
 
     @pytest.mark.parametrize("command", ["check", "verify"])
     def test_inconsistent_exits_3(self, capsys, tmp_path, command):
@@ -312,48 +315,64 @@ class TestVerify:
         assert data["verdict"] == "pass"
 
     def test_closure_cap_exits_3(self, capsys, dihedral_file):
-        # D16 x C2 (s = 2): X (16) fits the cap, the section's 64 cosets do not
+        # D16 x C2 (s = 2): no option sets the closures' caps, so --cap is
+        # a usage error, and the cross-check runs, bounded by its
+        # certified orders
         path = dihedral_file(4)
         code, out, err = run(capsys, "verify", path, "--cap", "32", "--json")
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1 and "cap 32" in err
+        assert (code, out) == (3, "")
+        assert err.startswith("usage: unitwreath [-h] ")
+        assert err.endswith("unitwreath: error: unrecognized arguments: --cap 32\n")
+        code, out, err = run(capsys, "verify", path, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["section"]["detail"] is None
 
-    def test_a_capped_section_names_its_closure(self, capsys, corpus_dir):
-        # o32_45 (m = 4): 2|X| = 32 fits the cap, the quotient's 64 cosets do
-        # not; one file and a sweep name the same closure
-        path = corpus_dir / "o32" / "o32_45.pc2"
-        message = "the section's quotient <h_0, a>/<a^4>: closure exceeded cap 40"
-        code, out, err = run(capsys, "verify", str(path), "--cap", "40")
-        assert (code, out, err) == (3, "", f"error: {message}\n")
-        code, out, _ = run(capsys, "verify", str(path.parent), "--cap", "40", "--json")
-        assert {"name": "o32_45", "error": message} in json.loads(out)["census"]["errors"]
+    def test_a_capped_section_names_its_closure(self, capsys, monkeypatch, tmp_path, corpus_dir):
+        # o32_45 (s = 2, k = 3): a witness that certifies k = 2 caps the
+        # kernel <a^4>, of 2 elements, at 2^(k-s) = 1, so the algebra
+        # disagrees with the certificate: a verdict (exit 2) that names the
+        # closure, in one file and in a sweep
+        real = construct.select_witness
+        monkeypatch.setattr(construct, "select_witness",
+                            lambda *args, **kw: replace(real(*args, **kw), k=2))
+        path = tmp_path / "o32_45.pc2"
+        path.write_text((corpus_dir / "o32" / "o32_45.pc2").read_text())
+        message = ("the algebra cross-check differs from the certificate at the section's "
+                   "kernel <a^4>: past its certified order 1")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (2, "")
+        assert f"  error: {message}\n  verdict: FAIL\n" in out
+        code, out, err = run(capsys, "verify", str(tmp_path), "--json")
+        assert (code, err) == (2, "")
+        data = json.loads(out)
+        assert data["census"]["errors"] == []
+        assert [(p["group"], p["error"]) for p in data["pipelines"]] == [("o32_45", message)]
+
+    # the certified quotient <X, a>/<a^m>, of order 2^(m+s), is the
+    # cross-check's largest closure; above oracle.DEFAULT_CAP it does not run
+    QUOTIENT_ABOVE_THE_CAP = (
+        "algebra cross-check not run: its quotient <X, a>/<a^{}> has 2^{} elements, above 65536"
+    )
 
     def test_cap_bounds_the_base_group(self, dihedral_file):
-        # D128 x C2 (s = 5): X has 2^32 elements, so <X, a> at least 2^33:
-        # the algebra cross-check, which would list X, does not run, and the
+        # D128 x C2 (s = 5): X has 2^32 elements and the quotient 2^37: the
+        # algebra cross-check, which would list X, does not run, and the
         # certificate's verdict stands; the base group's own refusal is
         # tested in test_construct
         proc = run_subprocess("verify", dihedral_file(7), "--json")
         assert (proc.returncode, proc.stderr) == (0, "")
         section = json.loads(proc.stdout)["section"]
         assert section["verdict"] == "pass" and section["base_order"] == 1 << 32
-        assert section["detail"] == (
-            "algebra cross-check not run: <X, a> has at least 2|X| = 2^33 elements, "
-            "above cap 65536"
-        )
+        assert section["detail"] == self.QUOTIENT_ABOVE_THE_CAP.format(32, 37)
 
     def test_cap_bounds_the_ambient_group_before_closing_it(self, dihedral_file):
-        # D64 x C2 (s = 4): |X| = 2^16 fits the cap, but <X, a> has at least
-        # 2^17 elements, which is known before the cross-check's closures start
+        # D64 x C2 (s = 4): |X| = 2^16 fits the cap, but the quotient has
+        # 2^20 elements, which is known before the cross-check's closures start
         proc = run_subprocess("verify", dihedral_file(6), "--json")
         assert (proc.returncode, proc.stderr) == (0, "")
         section = json.loads(proc.stdout)["section"]
         assert section["verdict"] == "pass" and section["ambient_order"] == 1 << 21
-        assert section["detail"] == (
-            "algebra cross-check not run: <X, a> has at least 2|X| = 2^17 elements, "
-            "above cap 65536"
-        )
+        assert section["detail"] == self.QUOTIENT_ABOVE_THE_CAP.format(16, 20)
 
     def test_oracle_skip_is_reported(self, capsys, dihedral_file):
         # D32 x C2 has s = 3, above the oracle's limit
@@ -627,3 +646,73 @@ class TestDump:
     def test_other_types_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             _dump(obj)
+
+
+def run_in_process(argv):
+    """cli.main on argv, with stdout and stderr captured: (exit code, out, err).
+    An exception that escapes main, argparse's SystemExit aside, fails the
+    caller: the CLI would have ended in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+MUTATIONS = ("none", "drop", "duplicate", "truncate", "bom", "equals", "unknown")
+
+
+@st.composite
+def presentation_texts(draw):
+    """A serialized random presentation, consistent or not, and with one
+    mutation of its text: a dropped, duplicated or truncated line, a
+    leading byte-order mark, a stray '=', or an unknown generator."""
+    pres = draw(twisted_presentations() | qualifying_presentations())
+    lines = serialize_presentation(pres).splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "truncate":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    elif mutation == "bom":
+        lines.insert(0, "\ufeff")
+    elif mutation in ("equals", "unknown"):
+        cut = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:cut] + (" = " if mutation == "equals" else " qq ") + lines[i][cut:]
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def presentation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "random.pc2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentation_texts())
+def test_the_cli_never_ends_in_a_traceback(presentation_file, text):
+    """check, verify and verify --oracle, as text and as --json, on random
+    and mutated presentations: an exit of 3 prints nothing but one stderr
+    line, --json parses and prints the same bytes twice, and a
+    presentation that loads (check exits 0 or 1) never makes verify exit
+    3.  No exit is 2: the theorem holds on every group that loads."""
+    presentation_file.write_text(text, encoding="utf-8")
+    path = str(presentation_file)
+    codes = {}
+    for command in (["check"], ["verify"], ["verify", "--oracle"]):
+        code, out, err = run_in_process([*command, path])
+        json_code, json_out, json_err = run_in_process([*command, path, "--json"])
+        assert (json_code, json_err) == (code, err)
+        assert code in (0, 1, 3) and "Traceback" not in out + err
+        if code == 3:
+            assert out == json_out == "" and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == "" and json.loads(json_out) is not None
+            assert run_in_process([*command, path, "--json"]) == (code, json_out, "")
+        codes[" ".join(command)] = code
+    loads = codes["check"] != 3
+    assert (codes["verify"] != 3, codes["verify --oracle"] != 3) == (loads, loads)

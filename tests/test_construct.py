@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    D8_C2_E64,
     D8_SQUARED,
     assert_holds_no_row,
     qualifying_presentations,
@@ -824,15 +825,22 @@ def test_a_unit_outside_the_section_is_named(k, corpus_dir):
                       use_oracle=False, base_checks=base_checks)
 
 
-@pytest.mark.parametrize("cap, closure_name", [(1, "kernel <a^4>"),
-                                                (40, "quotient <h_0, a>/<a^4>")])
-def test_a_capped_section_closure_is_named(cap, closure_name, corpus_dir):
-    """o32_45: the kernel <a^4> has 2 elements and the quotient 64 cosets;
-    a closure past the cap raises an error that names it."""
+@pytest.mark.parametrize("tampered, failure", [
+    ({"k": 2}, "kernel <a^4>: past its certified order 1"),
+    ({"s": 1}, "quotient <h_0, a>/<a^2>: past its certified order 8"),
+], ids=["kernel", "quotient"])
+def test_a_closure_past_its_certified_order_is_named(tampered, failure, corpus_dir):
+    """o32_45 (s = 2, k = 3): the kernel <a^4> has 2 elements and the
+    quotient 64 cosets.  A witness that certifies k = 2 caps the kernel at
+    2^(k-s) = 1; one that certifies s = 1 closes <h_0, a>/<a^2>, of 32
+    cosets, capped at 2^(m+s) = 8.  The closure that passes its certified
+    order is named in a ConstructionError: the algebra and the certificate
+    differ, and that is a verdict, not a resource limit."""
     algebra, w, base, orbit, base_checks = o32_45_section_inputs(corpus_dir)
-    with pytest.raises(ClosureCapError) as info:
-        build_section(algebra, w, base, orbit, cap=cap, base_checks=base_checks)
-    assert str(info.value) == f"the section's {closure_name}: closure exceeded cap {cap}"
+    with pytest.raises(ConstructionError) as info:
+        build_section(algebra, replace(w, **tampered), base, orbit, base_checks=base_checks)
+    assert str(info.value) == ("the algebra cross-check differs from the certificate at the "
+                               f"section's {failure}")
 
 
 def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
@@ -962,14 +970,15 @@ class TestPipeline:
         assert "oracle-isomorphism" not in result.section.checks
 
     def test_cap_is_tested_before_the_algebra_is_built(self, monkeypatch, dihedral_times_c2):
-        # D64 x C2: |G'| = 16, so <X, a> has at least 2^17 elements, past
-        # the cap: the certificate's verdict stands, with no algebra
+        # D64 x C2: |G'| = 16, so the certified quotient has 2^(16+4)
+        # elements, past oracle.DEFAULT_CAP: the certificate's verdict
+        # stands, with no algebra
         monkeypatch.setattr(construct, "GroupAlgebra", refuse_the_algebra)
         result = run_pipeline(load(dihedral_times_c2(6)))
         assert result.verdict and result.section.base_order == 1 << 16
         assert result.section.detail == (
-            "algebra cross-check not run: <X, a> has at least 2|X| = 2^17 elements, "
-            "above cap 65536")
+            "algebra cross-check not run: its quotient <X, a>/<a^16> has 2^20 elements, "
+            "above 65536")
 
     def test_a_verdict_above_the_table_limit(self, monkeypatch, dihedral_times_c2):
         # D512 x C2 (order 1024, m = 128): no algebra, and no row of the group
@@ -1012,6 +1021,29 @@ class TestPipeline:
         result = run_pipeline(d8xc2, use_oracle=False)
         assert result.error == f"the algebra cross-check differs from the certificate at {first}"
         assert result.section is None and not result.verdict
+
+
+@pytest.mark.parametrize("n, detail", [
+    (4, None),
+    (5, None),
+    (6, "its quotient <X, a>/<a^16> has 2^20 elements, above 65536"),
+    (7, "its quotient <X, a>/<a^32> has 2^37 elements, above 65536"),
+    (8, "its quotient <X, a>/<a^64> has 2^70 elements, above 65536"),
+    (None, "order 1024 is above 512, the largest order whose group algebra is built"),
+], ids=["D16xC2", "D32xC2", "D64xC2", "D128xC2", "D256xC2", "D8xC2xE64"])
+def test_one_gate_decides_the_cross_check(monkeypatch, dihedral_times_c2, n, detail):
+    """D_(2^n) x C2 for n = 4..8 (s = n - 2) and D8 x C2 x E64 (order
+    1024, s = 1): the algebra cross-check runs exactly where s <= 3 and
+    |G| <= 512, the certified quotient 2^(m+s) then within
+    oracle.DEFAULT_CAP; every other group says in one line why not."""
+    group = load(D8_C2_E64 if n is None else dihedral_times_c2(n))
+    real, calls = construct.build_section, []
+    monkeypatch.setattr(construct, "build_section",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    result = run_pipeline(group, use_oracle=False)
+    runs = result.witness.s <= 3 and group.order <= 512
+    assert result.verdict and len(calls) == runs and (detail is None) == runs
+    assert result.section.detail == (detail and "algebra cross-check not run: " + detail)
 
 
 def refuse_the_algebra(group):

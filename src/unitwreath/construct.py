@@ -162,8 +162,7 @@ class QuotientGroup:
     reps and the table depend on <gens> alone.
     """
 
-    def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement],
-                 cap: int = oracle.DEFAULT_CAP):
+    def __init__(self, gens: list[AlgebraElement], kernel: list[AlgebraElement], cap: int):
         algebra, apply = gens[0].algebra, kernels.apply
         cols = [algebra._conv.columns(g.bits) for g in gens]
         shifts = [[1 << y for y in algebra.group.column(t.bits.bit_length() - 1)]
@@ -439,7 +438,8 @@ def certify(group: FiniteGroup, w: Witness) -> tuple[tuple[int, int], ...]:
 
 
 def certified_section(w: Witness) -> SectionReport:
-    """What certify proves for w: every check but oracle-isomorphism, and the orders."""
+    """What certify proves for w: every check but oracle-isomorphism, and the
+    orders, the one place they are derived from s and k."""
     m = 1 << w.s
     return SectionReport(w, 1 << m, 1 << (m + w.k), 1 << (w.k - w.s), 1 << (m + w.s),
                          dict.fromkeys(CHECK_NAMES[:-1], True))
@@ -451,13 +451,14 @@ def build_orbit(algebra: GroupAlgebra, w: Witness) -> BaseOrbit:
                                  for b_i, b_z in certify(algebra.group, w)))
 
 
-def verify_base_group(orbit: BaseOrbit, cap: int = oracle.DEFAULT_CAP):
+def verify_base_group(orbit: BaseOrbit):
     """X ≅ C2^m, by certify the 2^m sums 1 + Σ_{i∈S} x_i
     for h_i = 1 + x_i, listed without a product.  Returns (X sorted by
-    bitset, the three checks, all True); |X| > cap raises ClosureCapError.
+    bitset, the three checks, all True); |X| > oracle.DEFAULT_CAP, the
+    closures' limit, raises ClosureCapError.
     """
     xs = [u.bits ^ 1 for u in orbit.units]
-    m = len(xs)
+    m, cap = len(xs), oracle.DEFAULT_CAP
     if 1 << m > cap:
         raise ClosureCapError(f"base group X of order 2^{m} exceeds cap {cap}")
     base = [1]
@@ -481,20 +482,22 @@ def build_section(
 
     X is h_0's orbit under a, so <X, a> = <h_0, a>: the quotient is closed
     from those two, and each orbit unit's image read off its coset.  A unit
-    in no coset is not a conjugate of h_0: ConstructionError.  Each closure
-    is capped at the order certified_section gives it, 2^(k-s) for the
-    kernel and 2^(m+s) for the quotient, so one that grows past it is a
-    ConstructionError naming that closure.  verify_wreath tests the
-    quotient, and --oracle runs here alone: the isomorphism search for
-    s <= ORACLE_MAX_S, and above that a detail saying it was skipped.
+    in no coset is not a conjugate of h_0: ConstructionError.  The orders
+    are certified_section's: each closure is capped at its certified order,
+    so one that grows past it is a ConstructionError naming that closure,
+    and quotient-order compares the orders found with the certified ones.
+    verify_wreath tests the quotient, and --oracle runs here alone: the
+    isomorphism search for s <= ORACLE_MAX_S, and above that a detail
+    saying it was skipped.
     """
     group, m = algebra.group, 1 << w.s
+    certified = certified_section(w)
     gens = [orbit.units[0], algebra.embed(w.a)]
     a_pow = algebra.embed(group.power(w.a, m))
-    closing, cap = f"kernel <a^{m}>", 1 << (w.k - w.s)
+    closing, cap = f"kernel <a^{m}>", certified.kernel_order
     try:
         kernel = bfs_closure([a_pow], cap=cap)
-        closing, cap = f"quotient <h_0, a>/<a^{m}>", 1 << (m + w.s)
+        closing, cap = f"quotient <h_0, a>/<a^{m}>", certified.quotient_order
         quotient = QuotientGroup(gens, kernel, cap=cap)
     except ClosureCapError as exc:
         raise ConstructionError("the algebra cross-check differs from the certificate at the "
@@ -520,11 +523,7 @@ def build_section(
         kernel_order=len(kernel),
         quotient_order=quotient.order,
     )
-    checks["quotient-order"] = (
-        quotient.order == 1 << (m + w.s)
-        and ambient_order == (1 << m) * (1 << w.k)
-        and len(kernel) == 1 << (w.k - w.s)
-    )
+    checks["quotient-order"] = report.orders() == certified.orders()
 
     table = quotient.to_table_group()
     top = quotient.rows[1][0]  # a's coset: a·1
@@ -569,10 +568,15 @@ def verify_wreath(group: TableGroup, images: list[int], top: int, s: int) -> dic
 
 @dataclass
 class PipelineResult:
+    """One group's run: the hypotheses, and, as far as they got, the
+    witness, the orbit, the section report or the error that stopped it.
+    The orbit holds each h_i = 1 + b_i + b_i·z as its sorted support, the
+    form BaseOrbit.units[i].support() gives."""
+
     group: FiniteGroup
     hypothesis: HypothesisReport
     witness: Witness | None = None
-    orbit: tuple[tuple[int, int], ...] | None = None  # certify's pairs (b_i, b_i·z)
+    orbit: tuple[tuple[int, ...], ...] | None = None
     section: SectionReport | None = None
     error: str | None = None
 
@@ -581,9 +585,8 @@ class PipelineResult:
         return self.section is not None and self.section.verdict
 
     def orbit_units(self) -> list[tuple[str, list[int]]]:
-        """Each h_i = 1 + b_i + b_i·z as its words and its sorted support."""
-        supports = [sorted((0, *pair)) for pair in self.orbit]
-        return [(" + ".join(map(self.group.word_str, s)), s) for s in supports]
+        """Each h_i as its words and its support."""
+        return [(" + ".join(map(self.group.word_str, s)), list(s)) for s in self.orbit]
 
     def to_dict(self) -> dict:
         out = {
@@ -613,12 +616,14 @@ def run_pipeline(
     """Hypotheses, witness and certificate: the verdict, at every order.
 
     A hypothesis report already computed for this group may be passed in.
-    The report is certified_section's.  Where the group algebra is built
-    (order at most CAYLEY_LIMIT) and the certified quotient, the largest of
-    the cross-check's closures, has at most oracle.DEFAULT_CAP elements,
-    the algebra path cross-checks it, and --oracle's check and detail are
-    build_section's; elsewhere the detail says why not.  A rejected
-    override raises NoWitnessError: not a verdict.
+    The report is certified_section's, and its orders decide the gate:
+    where the group algebra is built (order at most CAYLEY_LIMIT) and the
+    certified quotient, the largest of the cross-check's closures, has at
+    most oracle.DEFAULT_CAP elements, the algebra path cross-checks it, and
+    --oracle's check and detail are build_section's; elsewhere the detail
+    says why not.  certify runs once either way: on the cross-check path
+    inside build_orbit, elsewhere alone.  A rejected override raises
+    NoWitnessError: not a verdict.
     """
     if hypothesis is None:
         hypothesis = check_hypotheses(group)
@@ -627,19 +632,20 @@ def run_pipeline(
         result.error = f"hypotheses fail: {hypothesis.failure_reason}"
         return result
     w = result.witness = select_witness(group, hypothesis, override=override)
-    m = 1 << w.s
+    m, section = 1 << w.s, certified_section(w)
+    if group.order > CAYLEY_LIMIT:
+        section.detail = (f"algebra cross-check not run: order {group.order} is above "
+                          f"{CAYLEY_LIMIT}, the largest order whose group algebra is built")
+    elif section.quotient_order > oracle.DEFAULT_CAP:
+        section.detail = (f"algebra cross-check not run: its quotient <X, a>/<a^{m}> has "
+                          f"2^{m + w.s} elements, above {oracle.DEFAULT_CAP}")
     try:
-        result.orbit = certify(group, w)
-        section = certified_section(w)
-        if group.order > CAYLEY_LIMIT:
-            section.detail = (f"algebra cross-check not run: order {group.order} is above "
-                              f"{CAYLEY_LIMIT}, the largest order whose group algebra is built")
-        elif section.quotient_order > oracle.DEFAULT_CAP:
-            section.detail = (f"algebra cross-check not run: its quotient <X, a>/<a^{m}> has "
-                              f"2^{m + w.s} elements, above {oracle.DEFAULT_CAP}")
+        if section.detail is not None:
+            result.orbit = tuple(tuple(sorted((0, *pair))) for pair in certify(group, w))
         else:
             algebra = GroupAlgebra(group)
             orbit = build_orbit(algebra, w)
+            result.orbit = tuple(u.support() for u in orbit.units)
             base, base_checks = verify_base_group(orbit)
             checked = build_section(algebra, w, base, orbit, use_oracle=use_oracle,
                                     base_checks=base_checks)

@@ -7,9 +7,10 @@ algebra takes from the group (FiniteGroup.row) as it reads them and keeps
 (a RowStore), so the algebra is built only up to pcgroup.CAYLEY_LIMIT.
 Odd-support elements are exactly the normalized units: the augmentation
 ideal of a 2-group algebra in characteristic 2 is nilpotent, so they are
-invertible with 2-power order.  `unit_order`, `inverse_unit` and
-`conjugate_unit` compute in the algebra alone; they stay as the references
-the tests compare the group-product paths against.
+invertible with 2-power order.  The unit arithmetic the tests compare
+the group-product paths against (powers, orders, inverses and conjugates
+of units, computed in the algebra alone) lives with the tests, in
+tests/algebra_reference.py.
 """
 
 from __future__ import annotations
@@ -89,18 +90,6 @@ class AlgebraElement:
             self.algebra, self.algebra._conv.convolve(self.bits, other.bits)
         )
 
-    def __pow__(self, m: int) -> "AlgebraElement":
-        if m < 0:
-            return inverse_unit(self) ** (-m)
-        acc = self.algebra.one()
-        base = self
-        while m:
-            if m & 1:
-                acc = acc * base
-            base = base * base
-            m >>= 1
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)
@@ -128,32 +117,3 @@ class AlgebraElement:
     def __repr__(self):
         return f"AlgebraElement({self.words()})"
 
-
-def _require_normalized(u: AlgebraElement) -> None:
-    if u.augmentation() != 1:
-        raise ValueError("not a normalized unit: augmentation is 0")
-
-
-def unit_order(u: AlgebraElement) -> int:
-    """Order of a normalized unit; a power of 2, found by repeated squaring."""
-    _require_normalized(u)
-    order = 1
-    one = u.algebra.one()
-    while u != one:
-        u = u * u
-        order <<= 1
-    return order
-
-
-def inverse_unit(u: AlgebraElement) -> AlgebraElement:
-    """u^(2^m - 1) where 2^m is the unit order."""
-    _require_normalized(u)
-    return u ** (unit_order(u) - 1)
-
-
-def conjugate_unit(u: AlgebraElement, g: int) -> AlgebraElement:
-    """embed(g)^-1 * u * embed(g)."""
-    _require_normalized(u)
-    algebra = u.algebra
-    ginv = algebra.embed(algebra.group.inverse(g))
-    return ginv * u * algebra.embed(g)

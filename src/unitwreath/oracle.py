@@ -70,9 +70,6 @@ class TableGroup:
             k += 1
         return k, last
 
-    def order_of(self, x: int) -> int:
-        return self._powers(x)[0]
-
     def order_profile(self) -> tuple[int, ...]:
         """Sorted element orders; fills `_orders` and `_inverses` once."""
         if self._orders is None:

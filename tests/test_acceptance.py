@@ -9,9 +9,10 @@ import time
 
 import pytest
 
+from algebra_reference import inverse_unit, unit_order
 from unitwreath import catalog
 from unitwreath.construct import run_pipeline, verify_wreath
-from unitwreath.grpalg import AlgebraElement, GroupAlgebra, inverse_unit, unit_order
+from unitwreath.grpalg import AlgebraElement, GroupAlgebra
 from unitwreath.oracle import (
     TableGroup,
     bfs_closure,
@@ -102,7 +103,7 @@ def test_criterion_4_witness_properties(sweep):
         group = result.group
         algebra = GroupAlgebra(group)
         w = result.witness
-        units = [algebra.from_support((0, *pair)) for pair in result.orbit]  # certify's pairs
+        units = [algebra.from_support(support) for support in result.orbit]
         m = 1 << w.s
         # (a) every orbit member has unit order 2
         assert all(unit_order(u) == 2 for u in units), group.name

@@ -277,6 +277,37 @@ class TestLargeGroups:
             {"name": "wide", "error": self.LOAD_LIMIT_ERROR.removeprefix("error: ").rstrip()}
         ]
 
+    @staticmethod
+    def d8_times_c2_power(tmp_path, e):
+        """A file of D8 x C2^e (order 2^(e+3)): D8's a, c, b, then z and
+        e - 1 free generators."""
+        path = tmp_path / f"D8xC2^{e}.pc2"
+        free = " ".join(f"f{i}" for i in range(1, e))
+        path.write_text(f"group D8xC2^{e}\ngens a c b z {free}\npow a = c\nconj b a = b c\n")
+        return str(path)
+
+    def test_the_widest_loadable_group(self, capsys, tmp_path):
+        # D8 x C2^15, of order 2^18 = LOAD_LIMIT: the widest group that
+        # loads gets its report and the certificate's verdict
+        path = self.d8_times_c2_power(tmp_path, 15)
+        code, out, err = run(capsys, "check", path, "--json")
+        assert (code, err) == (0, "") and "Traceback" not in out
+        report = json.loads(out)
+        assert report["order"] == 1 << 18 and report["pass"]
+        code, out, err = run(capsys, "verify", path, "--json")
+        assert (code, err) == (0, "") and "Traceback" not in out
+        data = json.loads(out)
+        assert data["order"] == 1 << 18 and data["verdict"] == "pass"
+        assert data["section"]["detail"] == self.ABOVE_THE_TABLE_LIMIT.format(1 << 18)
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_one_generator_past_the_widest_exits_3(self, capsys, tmp_path, command):
+        # D8 x C2^16, of order 2^19: one line, the load limit's message
+        code, out, err = run(capsys, command, self.d8_times_c2_power(tmp_path, 16), "--json")
+        assert (code, out) == (3, "")
+        assert err == ("error: D8xC2^16: order 524288 is above 262144, the largest order "
+                       "whose product tables are built at load\n")
+
     def test_directory_sweep_keeps_going(self, capsys, tmp_path, d8xc2_path):
         (tmp_path / "D8xC2.pc2").write_text(Path(d8xc2_path).read_text())
         (tmp_path / "big.pc2").write_text(self.CONSISTENT_1024)

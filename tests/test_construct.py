@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algebra_reference import conjugate_unit
 from conftest import (
     D8_C2_E64,
     D8_SQUARED,
@@ -34,8 +35,8 @@ from unitwreath.construct import (
     verify_wreath,
     _qualifies,
 )
-from unitwreath.grpalg import GroupAlgebra, conjugate_unit
-from unitwreath.oracle import bfs_closure, reference_table, reference_wreath
+from unitwreath.grpalg import GroupAlgebra
+from unitwreath.oracle import DEFAULT_CAP, bfs_closure, reference_table, reference_wreath
 from unitwreath.pcgroup import (
     ClosureCapError,
     ConsistencyError,
@@ -53,7 +54,7 @@ def section_quotient(result):
     algebra, w = GroupAlgebra(result.group), result.witness
     gens = list(build_orbit(algebra, w).units) + [algebra.embed(w.a)]
     kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
-    return QuotientGroup(gens, kernel), gens, kernel
+    return QuotientGroup(gens, kernel, DEFAULT_CAP), gens, kernel
 
 
 def rep_key(bits):
@@ -628,12 +629,15 @@ class TestBaseGroup:
         assert prod.bits != 1
         assert prod.bits.bit_count() == 1 + 2 * len(orbit.units)
 
-    def test_cap_bounds_the_base_group(self, orbit):
-        # m = 2 orbit units: X has 2^2 elements, which a cap of 4 admits
-        base, _ = verify_base_group(orbit, cap=4)
-        assert len(base) == 4
-        with pytest.raises(ClosureCapError, match=r"^base group X of order 2\^2 exceeds cap 3$"):
-            verify_base_group(orbit, cap=3)
+    def test_cap_bounds_the_base_group(self, dihedral_times_c2):
+        # D128 x C2 (m = 32): X would have 2^32 elements, past the closures'
+        # limit of 2^16, and is refused before any is listed
+        group = load(dihedral_times_c2(7))
+        orbit = build_orbit(GroupAlgebra(group), select_witness(group, check_hypotheses(group)))
+        assert len(orbit.units) == 32
+        with pytest.raises(ClosureCapError,
+                           match=r"^base group X of order 2\^32 exceeds cap 65536$"):
+            verify_base_group(orbit)
 
 
 def assert_base_is_the_closure_of_the_orbit(group):
@@ -787,7 +791,7 @@ def assert_two_generators_give_the_quotient(group):
     and index_of puts each orbit unit where the m + 1 generator rows do."""
     result = run_pipeline(group, use_oracle=False)
     full, gens, kernel = section_quotient(result)
-    pair = QuotientGroup([gens[0], gens[-1]], kernel)
+    pair = QuotientGroup([gens[0], gens[-1]], kernel, DEFAULT_CAP)
     assert (pair.reps, pair.order) == (full.reps, full.order), group.name
     assert pair.to_table_group().table == full.to_table_group().table, group.name
     assert [pair.index_of(g.bits) for g in gens] == [row[0] for row in full.rows], group.name
@@ -841,6 +845,18 @@ def test_a_closure_past_its_certified_order_is_named(tampered, failure, corpus_d
         build_section(algebra, replace(w, **tampered), base, orbit, base_checks=base_checks)
     assert str(info.value) == ("the algebra cross-check differs from the certificate at the "
                                f"section's {failure}")
+
+
+def test_orders_below_the_certified_ones_fail_quotient_order(corpus_dir):
+    """o32_45 (s = 2, k = 3): a witness that certifies k = 4 admits both
+    closures, but the kernel <a^4> has 2 elements, not 2^(k-s) = 4, so
+    quotient-order, build_section's comparison with certified_section's
+    orders, fails."""
+    algebra, w, base, orbit, base_checks = o32_45_section_inputs(corpus_dir)
+    section = build_section(algebra, replace(w, k=4), base, orbit, use_oracle=False,
+                            base_checks=base_checks)
+    assert (section.kernel_order, section.quotient_order) == (2, 64)
+    assert [name for name, ok in section.checks.items() if not ok] == ["quotient-order"]
 
 
 def test_the_section_makes_two_products_per_coset(monkeypatch, corpus_dir):
@@ -925,7 +941,7 @@ def test_the_quotient_reads_only_the_rows_of_its_generators(monkeypatch, n, dihe
     kernel = bfs_closure([algebra.embed(algebra.group.power(w.a, 1 << w.s))])
     recorded = RecordedRows(algebra._conv._rows)
     monkeypatch.setattr(algebra._conv, "_rows", recorded)
-    quotient = QuotientGroup([h0, algebra.embed(w.a)], kernel)
+    quotient = QuotientGroup([h0, algebra.embed(w.a)], kernel, DEFAULT_CAP)
     assert quotient.order == result.section.quotient_order == 1 << ((1 << w.s) + w.s)
     assert recorded.read == set(h0.support()) | {w.a}
 
@@ -1044,6 +1060,42 @@ def test_one_gate_decides_the_cross_check(monkeypatch, dihedral_times_c2, n, det
     runs = result.witness.s <= 3 and group.order <= 512
     assert result.verdict and len(calls) == runs and (detail is None) == runs
     assert result.section.detail == (detail and "algebra cross-check not run: " + detail)
+
+
+def count_certificates(monkeypatch):
+    """Wrap construct.certify; the list it returns grows by one per call."""
+    real, calls = construct.certify, []
+    monkeypatch.setattr(construct, "certify", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def assert_one_certificate(calls, group):
+    """run_pipeline calls certify once; where the algebra is built, the
+    orbit it reports is build_orbit's supports."""
+    calls.clear()
+    result = run_pipeline(group, use_oracle=False)
+    assert result.verdict and len(calls) == 1, (group.name, len(calls))
+    if group.order <= pcgroup.CAYLEY_LIMIT:
+        orbit = build_orbit(GroupAlgebra(group), result.witness)
+        assert result.orbit == tuple(u.support() for u in orbit.units), group.name
+    return result
+
+
+def test_one_certificate_per_verdict_on_the_corpus(monkeypatch, qualifying_paths):
+    calls = count_certificates(monkeypatch)
+    for group in map(load_file, qualifying_paths):
+        assert assert_one_certificate(calls, group).section.detail is None, group.name
+
+
+@pytest.mark.parametrize("n, cross_checked", [(4, True), (6, False), (None, False)],
+                         ids=["D16xC2", "D64xC2", "D8xC2xE64"])
+def test_one_certificate_per_verdict_on_either_path(monkeypatch, dihedral_times_c2, n,
+                                                    cross_checked):
+    """D16 x C2 is cross-checked by the algebra; D64 x C2 (certified
+    quotient 2^20) and D8 x C2 x E64 (order 1024) are not."""
+    calls = count_certificates(monkeypatch)
+    result = assert_one_certificate(calls, load(D8_C2_E64 if n is None else dihedral_times_c2(n)))
+    assert (result.section.detail is None) == cross_checked
 
 
 def refuse_the_algebra(group):

@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_reference import conjugate_unit, inverse_unit, unit_order
 from conftest import corpus_paths
 from unitwreath import kernels
-from unitwreath.grpalg import (
-    GroupAlgebra,
-    conjugate_unit,
-    inverse_unit,
-    unit_order,
-)
+from unitwreath.grpalg import GroupAlgebra
 from unitwreath.pcgroup import load, load_file
 
 

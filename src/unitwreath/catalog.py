@@ -7,7 +7,6 @@ the full constructive pipeline on every passing group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import construct, pcgroup
@@ -15,13 +14,14 @@ from .construct import HypothesisReport, PipelineResult
 from .pcgroup import FiniteGroup, PcError
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    order: int | None = None
-    group: FiniteGroup | None = None
-    report: HypothesisReport | None = None
-    error: str | None = None
+    """One corpus file: its name and, as far as they got, the group's order,
+    the group, its hypothesis report, or the error that stopped the load."""
+
+    def __init__(self, name: str, order: int | None = None, group: FiniteGroup | None = None,
+                 report: HypothesisReport | None = None, error: str | None = None):
+        self.name, self.order, self.group, self.report, self.error = (
+            name, order, group, report, error)
 
     @property
     def s(self) -> int | None:
@@ -57,9 +57,11 @@ def load_entries(directory, order_filter: int | None = None) -> list[CatalogEntr
     return entries
 
 
-@dataclass
 class Census:
-    entries: list[CatalogEntry]
+    """A scan's entries: the corpus files that fail to load or pass the order filter."""
+
+    def __init__(self, entries: list[CatalogEntry]):
+        self.entries = entries
 
     @property
     def errors(self) -> list[CatalogEntry]:
@@ -136,10 +138,11 @@ def scan(directory, order_filter: int | None = None) -> Census:
     return Census(entries=entries)
 
 
-@dataclass
 class SweepResult:
-    census: Census
-    results: list[PipelineResult]
+    """A sweep's census, and the pipeline results of its passing groups."""
+
+    def __init__(self, census: Census, results: list[PipelineResult]):
+        self.census, self.results = census, results
 
     @property
     def verdict(self) -> bool:

@@ -10,7 +10,7 @@ named boolean check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from operator import eq
 
@@ -100,9 +100,11 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
 class BaseOrbit:
-    units: tuple[AlgebraElement, ...]
+    """The orbit's units h_0, ..., h_(m-1) in the group algebra."""
+
+    def __init__(self, units: tuple[AlgebraElement, ...]):
+        self.units = units
 
 
 def json_order(x: int) -> int | str:
@@ -111,15 +113,15 @@ def json_order(x: int) -> int | str:
     return x if x < 1 << 53 else f"2^{x.bit_length() - 1}"
 
 
-@dataclass
 class SectionReport:
-    witness: Witness
-    base_order: int
-    ambient_order: int
-    kernel_order: int
-    quotient_order: int
-    checks: dict[str, bool] = field(default_factory=dict)
-    detail: str | None = None
+    """The section for a witness: base_order |X|, ambient_order |<X, a>|,
+    kernel_order and quotient_order, the named checks, and a detail line."""
+
+    def __init__(self, witness: Witness, base_order: int, ambient_order: int, kernel_order: int,
+                 quotient_order: int, checks: dict | None = None, detail: str | None = None):
+        self.witness, self.base_order, self.ambient_order = witness, base_order, ambient_order
+        self.kernel_order, self.quotient_order, self.detail = kernel_order, quotient_order, detail
+        self.checks = {} if checks is None else checks
 
     @property
     def verdict(self) -> bool:
@@ -566,19 +568,17 @@ def verify_wreath(group: TableGroup, images: list[int], top: int, s: int) -> dic
     }
 
 
-@dataclass
 class PipelineResult:
-    """One group's run: the hypotheses, and, as far as they got, the
-    witness, the orbit, the section report or the error that stopped it.
-    The orbit holds each h_i = 1 + b_i + b_i·z as its sorted support, the
-    form BaseOrbit.units[i].support() gives."""
+    """One group's run: the group and its hypothesis report, and, as far as
+    they got, the witness, the orbit, the section report or the error that
+    stopped it.  The orbit holds each h_i = 1 + b_i + b_i·z as its sorted
+    support, the form BaseOrbit.units[i].support() gives."""
 
-    group: FiniteGroup
-    hypothesis: HypothesisReport
-    witness: Witness | None = None
-    orbit: tuple[tuple[int, ...], ...] | None = None
-    section: SectionReport | None = None
-    error: str | None = None
+    def __init__(self, group: FiniteGroup, hypothesis: HypothesisReport,
+                 witness: Witness | None = None, orbit: tuple | None = None,
+                 section: SectionReport | None = None, error: str | None = None):
+        self.group, self.hypothesis, self.witness = group, hypothesis, witness
+        self.orbit, self.section, self.error = orbit, section, error
 
     @property
     def verdict(self) -> bool:

@@ -7,7 +7,6 @@ backtracking isomorphism search over generator images of full tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .grpalg import AlgebraElement
@@ -131,20 +130,16 @@ def table_from_rows(rows, identity: int) -> list[list[int]]:
     return table
 
 
-@dataclass(frozen=True)
 class WreathModel:
-    """Coordinate model of C2 wr C_m with the regular (rotation) action.
+    """Coordinate model of C2 wr C_m (order 2^m·m) with the regular (rotation) action.
 
     Elements are pairs (v, t): v an m-bit base vector, t a shift.  The
     product is (v1, t1)(v2, t2) = (v1 + rot_t1(v2), t1 + t2 mod m) where
     rot_t moves coordinate j to j - t mod m.
     """
 
-    m: int
-
-    @property
-    def order(self) -> int:
-        return (1 << self.m) * self.m
+    def __init__(self, m: int):
+        self.m, self.order = m, (1 << m) * m
 
     def rot(self, v: int, t: int) -> int:
         m = self.m

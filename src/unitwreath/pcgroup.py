@@ -24,7 +24,6 @@ limits CAYLEY_LIMIT and LOAD_LIMIT and imports nothing from the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
 from pathlib import Path
@@ -84,22 +83,25 @@ def _name_fault(gens) -> str | None:
     return f"generator name {bad[0]!r} is '1' or holds '*', '·', ',' or '='" if bad else None
 
 
-@dataclass(frozen=True)
 class PcPresentation:
-    """Power/conjugation data for a 2-group on n generators.
+    """Power/conjugation data of a 2-group: its name, the generator names gens
+    (n of them), powers {i: gi^2} and conjugations {(i, j): gj^gi}.
 
     Words are tuples of 1-based generator indices.  Missing power entries
     mean gi^2 = 1; missing conjugation entries mean the pair commutes.
     """
 
-    name: str
-    gens: tuple[str, ...]
-    powers: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    conjugations: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    def __init__(self, name: str, gens: tuple[str, ...], powers: dict | None = None,
+                 conjugations: dict | None = None):
+        self.name, self.gens, self.n = name, gens, len(gens)
+        self.powers = {} if powers is None else powers
+        self.conjugations = {} if conjugations is None else conjugations
 
-    @property
-    def n(self) -> int:
-        return len(self.gens)
+    def __eq__(self, other) -> bool:  # the four fields and n, which follows gens
+        return isinstance(other, PcPresentation) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:  # a drawn presentation, as Hypothesis reports it
+        return f"PcPresentation{self.name, self.gens, self.powers, self.conjugations!r}"
 
     def validate(self) -> None:
         n = self.n

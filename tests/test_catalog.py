@@ -59,6 +59,13 @@ class TestScan:
             assert ("reason" in row) == (not row["pass"])
 
 
+def test_an_entry_starts_with_its_name_alone():
+    entry = catalog.CatalogEntry("X")
+    assert (entry.name, entry.order, entry.group, entry.report, entry.error) == (
+        "X", None, None, None, None)
+    assert entry.s is None
+
+
 class TestRoundTrip:
     def test_every_bundled_file_round_trips(self, corpus_dir):
         for path in sorted(corpus_dir.rglob("*.pc2")):

@@ -21,7 +21,9 @@ from unitwreath.construct import (
     BaseOrbit,
     ConstructionError,
     NoWitnessError,
+    PipelineResult,
     QuotientGroup,
+    SectionReport,
     Witness,
     build_orbit,
     build_section,
@@ -1129,4 +1131,16 @@ def test_an_order_is_an_int_below_2_to_the_53(e, written):
     """JSON readers take every int below 2^53 exactly; from there up an
     order is written "2^e", which prints at any size."""
     assert json_order(1 << e) == written
+
+
+def test_the_records_keep_their_defaults(d8xc2):
+    """SectionReport and PipelineResult are plain classes: checks is fresh
+    per report, and a result's later stages start unset."""
+    w = Witness(a=1, b=2, z=4, s=1, k=1)
+    one, two = SectionReport(w, 4, 8, 1, 8), SectionReport(w, 4, 8, 1, 8)
+    one.checks["top-order"] = True
+    assert (one.verdict, two.checks, two.verdict, two.detail) == (True, {}, False, None)
+    result = PipelineResult(d8xc2, check_hypotheses(d8xc2))
+    assert (result.witness, result.orbit, result.section, result.error) == (None,) * 4
+    assert not result.verdict
 

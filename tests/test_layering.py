@@ -6,6 +6,13 @@ construct < catalog < cli; and no function body imports a package module,
 so no import is deferred to hide a cycle.  __init__ is exempt from the
 order: it re-exports the public names.  Rows are composed by
 pcgroup.compose alone, and pcgroup alone reads its product tables.
+
+The records are plain classes with an explicit __init__: each @dataclass
+generates and execs its methods when the package is imported, which a
+fresh process pays for.  Two keep it, construct.HypothesisReport and
+construct.Witness, because dataclasses.asdict and replace are called on
+them (the tests call both, and perfbench/workloads.py calls asdict); so
+construct alone imports dataclasses.
 """
 
 import ast
@@ -36,6 +43,35 @@ def package_imports(node):
 def imports_of(path: Path) -> set:
     return {m for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             for m in package_imports(node)}
+
+
+def is_dataclass_decorator(node) -> bool:
+    """@dataclass or @dataclass(...), by its name or as dataclasses.dataclass."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "dataclass"
+            or isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+
+def imports_dataclasses(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses"
+    return isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+
+
+def test_only_hypothesis_report_and_witness_are_dataclasses():
+    decorated = {(path.stem, node.name) for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ClassDef)
+                 and any(map(is_dataclass_decorator, node.decorator_list))}
+    assert decorated == {("construct", "HypothesisReport"), ("construct", "Witness")}
+
+
+def test_only_construct_imports_dataclasses():
+    importers = {path.stem for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if imports_dataclasses(node)}
+    assert importers == {"construct"}
 
 
 def test_every_module_has_a_layer():

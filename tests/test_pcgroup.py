@@ -161,6 +161,30 @@ class TestLoad:
         assert again.cayley == d8xc2.cayley
 
 
+class TestPresentationRecord:
+    """PcPresentation is a plain class: its defaults are fresh per
+    instance, and it equals another presentation by its fields alone."""
+
+    def test_the_default_relations_are_not_shared(self):
+        one, two = PcPresentation("X", ("a", "b")), PcPresentation("Y", ("a", "b"))
+        one.powers[1] = (2,)
+        one.conjugations[(1, 2)] = (2, 1)
+        assert (two.powers, two.conjugations) == ({}, {})
+        assert one.n == two.n == 2
+
+    def test_equal_by_the_fields(self):
+        pres = PcPresentation("X", ("a", "b", "c"), {1: (2,)}, {(1, 3): (3, 2)})
+        assert pres == PcPresentation("X", ("a", "b", "c"), {1: (2,)}, {(1, 3): (3, 2)})
+        assert pres != PcPresentation("X", ("a", "b", "c"), {1: (3,)}, {(1, 3): (3, 2)})
+        assert pres != PcPresentation("X", ("a", "b", "c"), {1: (2,)}, {(1, 3): (3,)})
+        assert pres != ("X", ("a", "b", "c"), {1: (2,)}, {(1, 3): (3, 2)})
+        assert ("X", ("a", "b", "c"), {1: (2,)}, {(1, 3): (3, 2)}) != pres
+
+    def test_the_repr_rebuilds_the_presentation(self, d8xc2):
+        """What Hypothesis prints for a drawn presentation names its fields."""
+        assert eval(repr(d8xc2.pres), {"PcPresentation": PcPresentation}) == d8xc2.pres
+
+
 class TestArithmetic:
     def test_identity_law(self, d8xc2):
         for x in d8xc2.elements():
